@@ -1,34 +1,45 @@
 """BSP superstep engine on a stateful partition-actor pool.
 
 The execution model reproduces the reference's synchronous supersteps
-(/root/reference/computer-core/.../worker/WorkerService.java:287-338 ↔
+(computer-core/.../worker/WorkerService.java:287-338 <->
 MasterService.java:240-288) with Ray-native machinery:
 
 * one ``PartitionWorker`` actor per hash partition holds the partition's
-  CSR adjacency (built once in ``__init__`` from the graph's partitioned
+  adjacency (built once in ``__init__`` from the graph's partitioned
   parquet, the analog of FileGraphPartition's vertex/edge files,
-  /root/reference/computer-core/.../compute/FileGraphPartition.java:81-98)
-  plus the algorithm's vertex-state numpy arrays (value + frontier,
-  the analog of the value/status double-buffer files, ibid.:640-661);
-* the per-superstep message exchange is a hash-partitioned reduce on dst
-  vertex with **map-side combining**: each actor pre-combines its
-  outgoing messages per destination partition (sort + reduceat — the
-  analog of the reference's sort-with-combiner send buffers,
-  /root/reference/computer-core/.../sender/MessageSendManager.java:99-239),
-  ships one small object per (src-part, dst-part) pair through the
-  object store, and the receiver finishes the combine. Pre-combining
-  per source partition is the skew treatment for hub dst vertices: a
-  vertex with 10^6 in-edges receives at most P pre-combined values, not
-  10^6 messages (equivalent to salting the hot key by source partition);
+  computer-core/.../compute/FileGraphPartition.java:81-98) plus the
+  algorithm's vertex-state numpy arrays (value + frontier, the analog of
+  the value/status double-buffer files, ibid.:640-661);
+* ``BSPEngine.run`` is the one superstep loop: every actor computes,
+  checkpoints and hands its sends to the exchange, the exchange's next
+  round is launched at once, and the driver collects the metas, runs the
+  master step and tests for done (the driver barrier is the BSP
+  barrier; no etcd);
+* the exchange is the one thing that varies, chosen once per engine
+  from P and ``program.grid``:
+  - direct 1D: each actor pre-combines its messages per destination
+    partition (sort + reduceat, the analog of the reference's
+    sort-with-combiner send buffers, computer-core/.../sender/
+    MessageSendManager.java:99-239) and ships one object per
+    (src-part, dst-part) pair; the receiver finishes the combine.
+    Pre-combining per source partition is the skew treatment for hub
+    dst vertices: a vertex with 10^6 in-edges receives at most P
+    pre-combined values, not 10^6 messages;
+  - pod relay (1D, P >= ``RELAY_MIN_P``): the same payloads grouped per
+    pod of ~sqrt(P) partitions and regrouped by one relay task per pod,
+    O(P^1.5) object refs per superstep instead of O(P^2);
+  - 2D grid (dense ``EdgeScatter`` sum programs): actors publish
+    per-vertex scatter values, each grid cell turns its row's values
+    into dense column pieces (``edge_phase``), O(V*sqrt(P)) volume;
 * global aggregators are small dicts returned from each actor and
-  reduced on the driver (the analog of worker→master aggregator RPC,
-  /root/reference/computer-core/.../aggregator/WorkerAggrManager.java);
-* the driver barrier between supersteps is the BSP barrier (no etcd);
-* after every superstep each actor checkpoints its post-apply state to
-  parquet and the driver commits an atomic per-step manifest with
-  per-partition lineage (file, rows, sha256, message counts) + metrics,
-  so runs resume mid-iteration (the reference only supports resuming at
-  the input/compute step boundary, MasterService.java:191-213 TODO).
+  reduced on the driver (the analog of worker->master aggregator RPC,
+  computer-core/.../aggregator/WorkerAggrManager.java);
+* each actor checkpoints its post-compute state to parquet and the
+  driver commits an atomic per-step manifest with per-partition lineage
+  (file, rows, checksum, message counts) + metrics, so runs resume
+  mid-iteration (the reference only resumes at the input/compute step
+  boundary, MasterService.java:191-213 TODO). Resume verifies every
+  part's checksum; a failed checkpoint write fails the run.
 
 Messages between partitions are (dst_local:int32, value...) numpy tuples
 — Plasma gives zero-copy reads on the receiving side.
@@ -51,6 +62,8 @@ from .graph import Graph
 from .synth import synth_edges_for_range
 
 I64MAX = np.iinfo(np.int64).max
+# 1D exchanges at P >= RELAY_MIN_P go through the two-level pod relay
+RELAY_MIN_P = 64
 
 
 # ---------------------------------------------------------------------------
@@ -414,35 +427,39 @@ class PartCtx:
         self.hi = min(self.V, self.lo + self.part_size)
         self.size = max(0, self.hi - self.lo)
         self._dir = graph_dir
+        self._own = range(part_id, part_id + 1)
         self._csr = {}
+
+    def _edges(self, mode: str, parts: range, columns):
+        """(src, dst, weight) of the edges of partitions ``parts``:
+        regenerated for synthetic graphs, else the parquet ``columns``
+        (None = all) of their files; a column not read or not stored
+        comes back None."""
+        spec = self.meta.get("synthetic")
+        if spec is not None:
+            if mode != "out":
+                raise ValueError(
+                    "synthetic graphs provide out-mode adjacency only")
+            src, dst = synth_edges_for_range(
+                spec["V"], spec["avg_deg"], spec["seed"],
+                parts.start * self.part_size,
+                min(self.V, parts.stop * self.part_size))
+            return src, dst, None
+        paths = [os.path.join(self._dir, f"edges_{mode}",
+                              f"part_{p:05d}.parquet") for p in parts]
+        tabs = [pq.read_table(p, columns=columns) for p in paths
+                if os.path.exists(p)]
+        if not tabs:
+            z = np.zeros(0, dtype=np.int64)
+            return z, z, None
+        t = pa.concat_tables(tabs)
+        return tuple(t.column(c).to_numpy() if c in t.column_names else None
+                     for c in ("src_id", "dst_id", "weight"))
 
     def csr(self, mode: str):
         """(indptr[size+1], dst[int64], weight[float64|None]) for owned srcs."""
         if mode not in self._csr:
-            spec = self.meta.get("synthetic")
-            if spec is not None:
-                if mode != "out":
-                    raise ValueError(
-                        "synthetic graphs provide out-mode adjacency only")
-                src, dst = synth_edges_for_range(
-                    spec["V"], spec["avg_deg"], spec["seed"],
-                    self.lo, self.hi)
-                counts = np.bincount(src - self.lo, minlength=self.size)
-                indptr = np.zeros(self.size + 1, dtype=np.int64)
-                np.cumsum(counts, out=indptr[1:])
-                self._csr[mode] = (indptr, dst, None)
-                return self._csr[mode]
-            path = os.path.join(self._dir, f"edges_{mode}",
-                                f"part_{self.part_id:05d}.parquet")
-            if os.path.exists(path):
-                t = pq.read_table(path)
-                src = t.column("src_id").to_numpy()
-                dst = t.column("dst_id").to_numpy()
-                w = (t.column("weight").to_numpy()
-                     if "weight" in t.column_names else None)
-            else:
-                src = dst = np.zeros(0, dtype=np.int64)
-                w = None
+            src, dst, w = self._edges(mode, self._own, columns=None)
             counts = np.bincount(src - self.lo, minlength=self.size)
             indptr = np.zeros(self.size + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
@@ -458,18 +475,7 @@ class PartCtx:
             if mode in self._csr:
                 d = np.diff(self._csr[mode][0])
             else:
-                spec = self.meta.get("synthetic")
-                if spec is not None:
-                    src, _ = synth_edges_for_range(
-                        spec["V"], spec["avg_deg"], spec["seed"],
-                        self.lo, self.hi)
-                else:
-                    path = os.path.join(self._dir, f"edges_{mode}",
-                                        f"part_{self.part_id:05d}.parquet")
-                    src = (pq.read_table(path, columns=["src_id"])
-                           .column("src_id").to_numpy()
-                           if os.path.exists(path)
-                           else np.zeros(0, dtype=np.int64))
+                src = self._edges(mode, self._own, columns=["src_id"])[0]
                 d = np.bincount(src - self.lo, minlength=self.size)
             self._csr[key] = d
         return self._csr[key]
@@ -494,24 +500,8 @@ class PartCtx:
             ps = self.part_size
             row_lo, row_hi = r * C * ps, min(self.V, (r + 1) * C * ps)
             col_lo, col_hi = c * R * ps, min(self.V, (c + 1) * R * ps)
-            spec = self.meta.get("synthetic")
-            if spec is not None:
-                src, dst = synth_edges_for_range(
-                    spec["V"], spec["avg_deg"], spec["seed"],
-                    row_lo, row_hi)
-            else:
-                srcs, dsts = [], []
-                for p in range(r * C, (r + 1) * C):
-                    path = os.path.join(self._dir, f"edges_{mode}",
-                                        f"part_{p:05d}.parquet")
-                    if os.path.exists(path):
-                        t = pq.read_table(path, columns=["src_id", "dst_id"])
-                        srcs.append(t.column("src_id").to_numpy())
-                        dsts.append(t.column("dst_id").to_numpy())
-                src = (np.concatenate(srcs) if srcs
-                       else np.zeros(0, dtype=np.int64))
-                dst = (np.concatenate(dsts) if dsts
-                       else np.zeros(0, dtype=np.int64))
+            src, dst, _ = self._edges(mode, range(r * C, (r + 1) * C),
+                                      ["src_id", "dst_id"])
             m = (dst >= col_lo) & (dst < col_hi)
             loc_t = np.int32 if max(row_hi - row_lo,
                                     col_hi - col_lo) < 2**31 else np.int64
@@ -587,8 +577,8 @@ class EdgeScatter:
     the partition's full adjacency (i.e. every out-edge of vertex v
     carries values[v]). Lets the engine route via the cached
     scatter_plan: a single gather through the static dst-ordered
-    src-index instead of a per-superstep argsort. Only valid for
-    sum/min combiners (label_count runs depend on the values)."""
+    src-index instead of a per-superstep argsort. Sum combiner only
+    (PageRank-style dense loops; also the 2D grid's input)."""
 
     __slots__ = ("mode", "values")
 
@@ -619,28 +609,31 @@ def _relay_pod(k: int, *blocks):
 
 class PartitionWorker:
     def __init__(self, graph_dir: str, meta: dict, part_id: int, program,
-                 grid: tuple[int, int] | None = None):
+                 grid: tuple[int, int] | None = None, relay=None):
         self.ctx = PartCtx(graph_dir, meta, part_id)
         self.P = meta["P"]
         self._local_dtype = np.int32 if meta["part_size"] < 2**31 else np.int64
         self._ck_thread = None     # in-flight async checkpoint write
         self._ck_done = None       # completed write info awaiting pickup
-        self.set_program(program, grid)
+        self._ck_error = None      # exception of a failed write
+        self.set_program(program, grid, relay)
 
-    def set_program(self, program, grid: tuple[int, int] | None = None):
-        """(Re)arm the actor for a run. Cached pools (RLG_ACTOR_CACHE)
-        call this between queries instead of paying a fresh actor pool:
-        the PartCtx CSR/grid/plan caches persist per edge MODE, so only
-        the first program per mode pays the adjacency build."""
+    def set_program(self, program, grid: tuple[int, int] | None = None,
+                    relay=None):
+        """(Re)arm the actor for a run and its exchange: ``grid`` = (R, C)
+        for the 2D grid, ``relay`` = the pods of the 1D pod relay, neither
+        for the direct 1D exchange. Cached pools (RLG_ACTOR_CACHE) call
+        this between queries instead of paying a fresh actor pool: the
+        PartCtx CSR/grid/plan caches persist per edge MODE, so only the
+        first program per mode pays the adjacency build."""
         self._join_ck()            # never carry an in-flight write over
         self.program = program
         self.program.combiner      # touch to fail early on bad programs
-        self.grid = grid
+        self.grid, self.relay = grid, relay
         if grid is None:
             self.ctx.csr(self.program.mode)  # build CSR once, up front
         else:
-            self.R, self.C = grid
-            self.ctx.grid_block(self.program.mode, self.R, self.C)
+            self.ctx.grid_block(self.program.mode, *grid)
             self.ctx.degrees(self.program.mode)  # degrees only, no 1D CSR
         self.state = None
         return True
@@ -657,30 +650,22 @@ class PartitionWorker:
         (dst, val) pairs: receivers then merge with cheap sequential adds
         instead of an O(nnz) scatter, which keeps receive-side work
         O(E/P + part_size) per actor instead of O(V)."""
+        if self.program.combiner != "sum":
+            raise TypeError("EdgeScatter needs the sum combiner")
         src_by_dst, slices = self.ctx.scatter_plan(scatter.mode,
                                                    self._local_dtype)
-        is_sum = self.program.combiner == "sum"
-        reduce_fn = np.add.reduceat if is_sum else np.minimum.reduceat
         outs = [None] * self.P
         vv = scatter.values
         for q, s in enumerate(slices):
             if s is None:
                 continue
             kind, a, b, idx, extra = s
-            if kind == "D" and is_sum:
+            if kind == "D":
                 # dense partial straight from one bincount over the slice
                 outs[q] = ("D", np.bincount(idx, weights=vv[src_by_dst[a:b]],
                                             minlength=extra))
-            elif kind == "D":
-                # min combiner over a dense slice: reduceat on runs
-                # recovered on the fly (rare path; frontier algorithms
-                # use the generic router instead)
-                runs = np.r_[0, np.flatnonzero(np.diff(idx)) + 1]
-                outs[q] = (idx[runs],
-                           reduce_fn(vv[src_by_dst[a:b]], runs))
             else:
-                runs, dl = idx, extra
-                outs[q] = (dl, reduce_fn(vv[src_by_dst[a:b]], runs))
+                outs[q] = (extra, np.add.reduceat(vv[src_by_dst[a:b]], idx))
         return outs, int(len(src_by_dst))
 
     def _route(self, dst_global, payload):
@@ -714,22 +699,32 @@ class PartitionWorker:
     @staticmethod
     def _unwrap_inbox(inbox_parts) -> list:
         """Relay-mode inboxes arrive as ONE ``("RELAY", [parts...])``
-        bundle per actor (direct mode: P raw parts)."""
+        bundle per actor (direct mode: P raw parts; grid: R dense
+        pieces)."""
         parts = list(inbox_parts)
         if (len(parts) == 1 and type(parts[0]) is tuple
                 and len(parts[0]) == 2 and parts[0][0] == "RELAY"):
             return list(parts[0][1])
         return parts
 
-    @staticmethod
-    def _pack_pods(outs, relay_pods):
-        """Group the P per-destination payloads into one block per pod
-        (None when the whole pod got nothing — the relay skips it)."""
-        return [None if all(outs[q] is None for q in pod)
-                else tuple(outs[q] for q in pod) for pod in relay_pods]
+    def _send(self, dst, payload):
+        """Hand a step's sends to the exchange. Grid: publish the per-
+        vertex scatter values (read zero-copy by the row's cells; the
+        messages are counted by ``edge_phase``). 1D: P per-destination
+        payloads, grouped into one block per pod under the relay (None
+        when the whole pod got nothing — the relay skips it)."""
+        if self.grid is not None:
+            if dst.__class__.__name__ != "EdgeScatter":
+                raise TypeError("grid programs must scatter via EdgeScatter")
+            return [np.ascontiguousarray(dst.values, dtype=np.float64)], 0
+        outs, n_out = self._route(dst, payload)
+        if self.relay is not None:
+            outs = [None if all(outs[q] is None for q in pod)
+                    else tuple(outs[q] for q in pod) for pod in self.relay]
+        return outs, n_out
 
     def superstep(self, s: int, g: dict, ckpt_dir, steps_remaining,
-                  *inbox_parts, relay_pods=None):
+                  *inbox_parts):
         t0 = time.monotonic()
         # fixed-horizon hint: how many supersteps can still run after
         # this one. Programs MAY skip generating messages that provably
@@ -751,9 +746,7 @@ class PartitionWorker:
         if ckpt_dir is not None:
             ck = self._write_checkpoint(ckpt_dir, s)
         t2 = time.monotonic()
-        outs, n_out = self._route(dst, payload)
-        if relay_pods is not None:
-            outs = self._pack_pods(outs, relay_pods)
+        outs, n_out = self._send(dst, payload)
         t3 = time.monotonic()
         meta = {"aggs": aggs, "part": self.ctx.part_id, "msgs_in": n_in,
                 "msgs_out": n_out, "wall_s": t3 - t0,
@@ -761,70 +754,30 @@ class PartitionWorker:
                 "checkpoint": ck}
         return (*outs, meta)
 
-    def rescatter(self, s: int, g: dict, steps_remaining: int = 10**9,
-                  relay_pods=None):
+    def rescatter(self, s: int, g: dict, steps_remaining: int):
+        """Resume path: resend step s's messages from restored state."""
         self.ctx.steps_remaining = steps_remaining
-        dst, payload = self.program.rescatter(self.ctx, self.state, g, s)
-        outs, n_out = self._route(dst, payload)
-        if relay_pods is not None:
-            outs = self._pack_pods(outs, relay_pods)
+        outs, n_out = self._send(
+            *self.program.rescatter(self.ctx, self.state, g, s))
         return (*outs, {"part": self.ctx.part_id, "msgs_out": n_out})
 
-    # -- 2D grid exchange (dense EdgeScatter programs) ----------------------
-    def _scatter_values(self, dst) -> np.ndarray:
-        if dst.__class__.__name__ != "EdgeScatter":
-            raise TypeError("grid programs must scatter via EdgeScatter")
-        return np.ascontiguousarray(dst.values, dtype=np.float64)
-
-    def apply_phase(self, s: int, g: dict, ckpt_dir, steps_remaining,
-                    *pieces):
-        """Chunk-owner half of a grid superstep: merge the R incoming
-        column pieces, run the program's compute, publish the new
-        per-vertex scatter values (read zero-copy by the row's cells)."""
-        t0 = time.monotonic()
-        self.ctx.steps_remaining = steps_remaining
-        n_in = 0
-        if s == 0:
-            self.state = self.program.init(self.ctx, g)
-            dst, _, aggs = self.program.compute0(self.ctx, self.state, g)
-        else:
-            inbox = Inbox("sum", self.ctx.size,
-                          [("D", p) for p in pieces])
-            n_in = inbox.n_msgs
-            dst, _, aggs = self.program.compute(
-                self.ctx, self.state, inbox, g, s)
-        vals = self._scatter_values(dst)
-        t1 = time.monotonic()
-        ck = None
-        if ckpt_dir is not None:
-            ck = self._write_checkpoint(ckpt_dir, s)
-        t2 = time.monotonic()
-        meta = {"aggs": aggs, "part": self.ctx.part_id, "msgs_in": n_in,
-                "msgs_out": 0, "wall_s": t2 - t0, "compute_s": t1 - t0,
-                "ckpt_s": t2 - t1, "route_s": 0.0, "checkpoint": ck}
-        return vals, meta
-
-    def edge_phase(self, s: int, *row_vals):
-        """Cell half of a grid superstep: gather the row's value chunks,
-        one bincount over the cell's edges into a dense column partial,
-        split into per-chunk pieces."""
+    def edge_phase(self, *row_vals):
+        """Grid cell's exchange round: gather the row's value chunks, one
+        add.reduceat over the cell's edges into a dense column partial,
+        split into per-chunk dense pieces (``("D", piece)``, the sum
+        Inbox's dense wire format)."""
         t0 = time.monotonic()
         src_by_dst, runs, ud, colsize, bounds, row_lo, row_hi = \
-            self.ctx.grid_block(self.program.mode, self.R, self.C)
+            self.ctx.grid_block(self.program.mode, *self.grid)
         vrow = (np.concatenate(row_vals) if len(row_vals) > 1
                 else row_vals[0])
         partial = np.zeros(colsize, dtype=np.float64)
         if len(runs):
             partial[ud] = np.add.reduceat(vrow[src_by_dst], runs)
-        pieces = [partial[a:b] for a, b in bounds]
+        pieces = [("D", partial[a:b]) for a, b in bounds]
         meta = {"part": self.ctx.part_id, "msgs_out": int(len(src_by_dst)),
                 "route_s": time.monotonic() - t0}
         return (*pieces, meta)
-
-    def grid_rescatter(self, s: int, g: dict):
-        """Resume path: republish scatter values from restored state."""
-        dst, _ = self.program.rescatter(self.ctx, self.state, g, s)
-        return self._scatter_values(dst)
 
     # -- checkpoint / resume -------------------------------------------------
     # Checkpoint writes are ASYNC with lag-1 commit (SURVEY §7e: "async
@@ -835,11 +788,15 @@ class PartitionWorker:
     # it has finished — so resume always sees durable files, at the cost
     # of the crash window losing at most the one uncommitted step.
     def _join_ck(self):
-        """Wait for the in-flight write; return completed info (or None)."""
+        """Wait for the in-flight write; return completed info (or None).
+        Re-raises the exception of a failed write."""
         if self._ck_thread is not None:
             self._ck_thread.join()
             self._ck_thread = None
         done, self._ck_done = self._ck_done, None
+        err, self._ck_error = self._ck_error, None
+        if err is not None:
+            raise err
         return done
 
     def _write_checkpoint(self, ckpt_dir: str, s: int) -> dict | None:
@@ -858,12 +815,16 @@ class PartitionWorker:
             groups: dict[int, dict] = {}
             for k, v in snap.items():
                 groups.setdefault(len(v), {})[k] = v
-            for i, length in enumerate(sorted(groups)):
-                p = path if i == 0 else path.replace(
-                    ".parquet", f"_g{i}.parquet")
-                t = pa.table({k: pa.array(v)
-                              for k, v in groups[length].items()})
-                pq.write_table(t, p, compression="none")
+            try:
+                for i, length in enumerate(sorted(groups)):
+                    p = path if i == 0 else path.replace(
+                        ".parquet", f"_g{i}.parquet")
+                    t = pa.table({k: pa.array(v)
+                                  for k, v in groups[length].items()})
+                    pq.write_table(t, p, compression="none")
+            except Exception as e:
+                self._ck_error = e
+                return
             self._ck_done = {"step": s, "file": path, "rows": self.ctx.size,
                              "checksum": _state_checksum(snap)}
 
@@ -875,7 +836,9 @@ class PartitionWorker:
         """Finish any pending write and return its info (run end)."""
         return self._join_ck()
 
-    def load_checkpoint(self, ckpt_dir: str, s: int):
+    def load_checkpoint(self, ckpt_dir: str, s: int, checksum: str):
+        """Restore step s's state; refuse it unless it matches the
+        manifest's ``checksum``."""
         import glob
         base = os.path.join(ckpt_dir, f"step_{s:05d}",
                             f"part_{self.ctx.part_id:05d}")
@@ -884,6 +847,9 @@ class PartitionWorker:
             t = pq.read_table(path)
             self.state.update({c: t.column(c).to_numpy().copy()
                                for c in t.column_names})
+        if _state_checksum(self.state) != checksum:
+            raise ValueError(f"checkpoint {base}.parquet does not match "
+                             f"its manifest checksum {checksum}")
         return True
 
     def output_table(self):
@@ -967,35 +933,34 @@ class BSPEngine:
         self.ckpt_every = max(0, checkpoint_every)
         self._pending = {}   # ckpt step -> manifest data awaiting durability
         P = graph.P
-        self.grid = None
+        # the exchange, fixed for the engine's life: 2D grid for dense
+        # EdgeScatter programs, else direct 1D or (large P) pod relay
+        self.grid = self.relay = None
         if getattr(program, "grid", False):
+            if program.combiner != "sum":
+                raise ValueError("grid programs must use the sum combiner")
             # R = smallest divisor >= sqrt(P): keeps the row gather
             # window (C*V/P <= V/sqrt(P)) cache-small while piece volume
             # stays O(V*R) ~ O(V*sqrt(P)). Measured at P=8/V=4M/deg=30:
             # R=4 0.59 s/step vs R=2 0.86 vs R=8 (1D-dense degenerate)
-            # 1.58.
-            cands = [r for r in range(2, P + 1)
-                     if P % r == 0 and r * r >= P]
-            R = min(cands) if cands else 1
-            R = int(os.environ.get("RLG_GRID_R", R) or R)
-            if 2 <= R < P and P % R == 0:
-                self.grid = (R, P // R)
-        # two-level relay exchange for the 1D (sparse/frontier) path:
-        # the direct exchange creates O(P^2) driver-owned object refs
-        # per superstep (measured on this host: 1.8 s/step of pure
-        # driver plumbing at P=128, tools/p2_refbench.py). Above
-        # RLG_RELAY_MIN_P, partitions are grouped into ~sqrt(P) pods:
-        # actors return one block per POD, a relay task per pod regroups
-        # to per-destination bundles — O(P^1.5) refs, bit-identical
-        # results (the receive-side Inbox still does the combine).
-        self.relay = None
-        if self.grid is None and P > 1:
-            min_p = int(os.environ.get("RLG_RELAY_MIN_P", "64") or 64)
-            if P >= min_p:
-                K = int(os.environ.get("RLG_RELAY_K", "0") or 0) \
-                    or max(2, int(round(P ** 0.5)))
-                self.relay = [list(range(j, min(j + K, P)))
-                              for j in range(0, P, K)]
+            # 1.58. No such R < P (P prime or < 4): 1D exchange.
+            cands = [r for r in range(2, P) if P % r == 0 and r * r >= P]
+            if cands:
+                self.grid = (min(cands), P // min(cands))
+        if self.grid is None and P >= RELAY_MIN_P:
+            # the direct 1D exchange creates O(P^2) driver-owned object
+            # refs per superstep (measured 1.8 s/step of pure driver
+            # plumbing at P=128, tools/p2_refbench.py). The relay groups
+            # partitions into ~sqrt(P) pods: actors return one block per
+            # POD, a relay task per pod regroups to per-destination
+            # bundles — O(P^1.5) refs, bit-identical results (the
+            # receive-side Inbox still does the combine).
+            K = max(2, int(round(P ** 0.5)))
+            self.relay = [list(range(j, min(j + K, P)))
+                          for j in range(0, P, K)]
+        # return values per actor send, besides the meta
+        self._n_out = (1 if self.grid else
+                       len(self.relay) if self.relay else P)
         self._use_cache = _actor_cache_enabled()
         # the key carries a GENERATION marker (meta.json mtime): a graph
         # rebuilt in-place at the same dir with unchanged P/V must NOT
@@ -1015,7 +980,8 @@ class BSPEngine:
         if (self._use_cache and pool and pool["key"] == key
                 and not pool.get("busy")):
             try:
-                ray.get([a.set_program.remote(program, self.grid)
+                ray.get([a.set_program.remote(program, self.grid,
+                                              self.relay)
                          for a in pool["actors"]])
                 self.actors = pool["actors"]
                 pool["busy"] = True
@@ -1037,7 +1003,7 @@ class BSPEngine:
             Worker = ray.remote(PartitionWorker)
             self.actors = [
                 Worker.options(num_cpus=cpu_per_actor).remote(
-                    graph.dir, graph.meta, p, program, self.grid)
+                    graph.dir, graph.meta, p, program, self.grid, self.relay)
                 for p in range(P)
             ]
             if self._use_cache and _ACTOR_POOL.get("pool") is None:
@@ -1138,7 +1104,7 @@ class BSPEngine:
         if rec is None:       # pre-horizon manifest: can't verify
             warnings.warn("checkpoint manifest predates horizon "
                           "recording; resume assumes the original "
-                          "max_supersteps matched", stacklevel=3)
+                          "max_supersteps matched", stacklevel=4)
             return
         if rec != max_supersteps:
             raise ValueError(
@@ -1148,72 +1114,83 @@ class BSPEngine:
                 f"replayed (rerun with max_supersteps={rec} or start "
                 f"fresh)")
 
-    def _exchange_inboxes(self, msg_refs):
-        """Route per-destination message refs: direct (P^2 refs) below
-        the relay threshold, pod relay (P^1.5) above."""
+    def _exchange(self, out_refs):
+        """Launch the exchange round for one round of actor sends
+        (``out_refs[p]`` = actor p's send refs). Returns each partition's
+        inbox refs and the refs of the round's own metas (grid cells
+        only). Grid: cell (r, c) reads its row's C value refs and
+        returns R pieces; ``inboxes[q][r]`` = piece from cell
+        (r, col(q)) for chunk q."""
         P = self.graph.P
+        if self.grid is not None:
+            R, C = self.grid
+            eouts = [self.actors[p].edge_phase.options(num_returns=R + 1)
+                     .remote(*[out_refs[q][0] for q in
+                               range(p // C * C, (p // C + 1) * C)])
+                     for p in range(P)]
+            return ([[eouts[r * C + q // R][q % R] for r in range(R)]
+                     for q in range(P)], [e[R] for e in eouts])
         if self.relay is None:
-            return [[msg_refs[p][q] for p in range(P)] for q in range(P)]
+            return [[out_refs[p][q] for p in range(P)] for q in range(P)], []
         inboxes = [None] * P
         for j, pod in enumerate(self.relay):
             k = len(pod)
             r = _relay_pod.options(num_returns=k).remote(
-                k, *[msg_refs[p][j] for p in range(P)])
+                k, *[out_refs[p][j] for p in range(P)])
             if k == 1:
                 r = [r]
             for i, q in enumerate(pod):
                 inboxes[q] = [r[i]]
-        return inboxes
+        return inboxes, []
 
     def run(self, max_supersteps: int = 10, resume: bool = False) -> BSPResult:
+        try:
+            return self._run(max_supersteps, resume)
+        except BaseException:
+            self.close(evict=True)   # a failed run never keeps its pool
+            raise
+
+    def _run(self, max_supersteps: int, resume: bool) -> BSPResult:
         self._run_max_supersteps = max_supersteps
-        if self.grid is not None:
-            return self._run_grid(max_supersteps, resume)
-        P = self.graph.P
-        n_out_refs = len(self.relay) if self.relay is not None else P
-        relay_kw = {} if self.relay is None else {"relay_pods": self.relay}
-        history = []
-        s0, inboxes, g = 0, None, self.program.master_init(self.graph)
-        aggs = {}
-        if resume:
-            found = self.latest_checkpoint()
-            if found:
-                s_ck, man = found
-                self._check_resume_horizon(man, max_supersteps)
-                ray.get([a.load_checkpoint.remote(self.ckpt_dir, s_ck)
-                         for a in self.actors])
-                g = man["globals_next"]
-                aggs = man["aggs"]
-                if man["done"]:
-                    return self._finish(s_ck + 1, aggs, history)
-                outs = [self.actors[p].rescatter
-                        .options(num_returns=n_out_refs + 1)
-                        .remote(s_ck, g, max_supersteps - 1 - s_ck,
-                                **relay_kw)
-                        for p in range(P)]
-                msg_refs = [o[:n_out_refs] for o in outs]
-                ray.get([o[n_out_refs] for o in outs])  # barrier on rescatter
-                inboxes = self._exchange_inboxes(msg_refs)
-                s0 = s_ck + 1
-                self._truncate_metrics(s_ck)
+        n = self._n_out
+        history, aggs, inboxes = [], {}, None
+        s, g = 0, self.program.master_init(self.graph)
+        found = self.latest_checkpoint() if resume else None
+        if found:
+            s_ck, man = found
+            self._check_resume_horizon(man, max_supersteps)
+            ray.get([a.load_checkpoint.remote(
+                self.ckpt_dir, s_ck, man["parts"][str(p)]["checksum"])
+                for p, a in enumerate(self.actors)])
+            g, aggs = man["globals_next"], man["aggs"]
+            if man["done"]:
+                return self._finish(s_ck + 1, aggs, history)
+            outs = [a.rescatter.options(num_returns=n + 1)
+                    .remote(s_ck, g, max_supersteps - 1 - s_ck)
+                    for a in self.actors]
+            ray.get([o[n] for o in outs])  # barrier on rescatter
+            inboxes = self._exchange([o[:n] for o in outs])[0]
+            s = s_ck + 1
+            self._truncate_metrics(s_ck)
 
-        s = s0
         while s < max_supersteps:
             t0 = time.monotonic()
             do_ckpt = (self.ckpt_dir if self.ckpt_every and
                        (s % self.ckpt_every == 0) else None)
-            outs = []
-            for p in range(P):
-                args = (s, g, do_ckpt, max_supersteps - 1 - s) + \
-                    (tuple(inboxes[p]) if s > 0 else ())
-                outs.append(self.actors[p].superstep
-                            .options(num_returns=n_out_refs + 1)
-                            .remote(*args, **relay_kw))
-            msg_refs = [o[:n_out_refs] for o in outs]
-            metas = ray.get([o[n_out_refs] for o in outs])
+            outs = [a.superstep.options(num_returns=n + 1).remote(
+                        s, g, do_ckpt, max_supersteps - 1 - s,
+                        *(inboxes[p] if s > 0 else ()))
+                    for p, a in enumerate(self.actors)]
+            # launch the next exchange round at once: the grid's edge
+            # phase overlaps the meta collection and the master step
+            inboxes, xmeta_refs = self._exchange([o[:n] for o in outs])
+            metas = ray.get([o[n] for o in outs])
+            # grid: the cells' metas count the messages (barrier: pieces
+            # materialized); 1D: the actors' own
+            xmetas = ray.get(xmeta_refs) or metas
             wall = time.monotonic() - t0
             aggs = _reduce_aggs([m["aggs"] for m in metas])
-            msg_total = sum(m["msgs_out"] for m in metas)
+            msg_total = sum(m["msgs_out"] for m in xmetas)
             cont, g = self.program.master(s, aggs, msg_total, self.graph, g)
             done = (not cont) or msg_total == 0 or s == max_supersteps - 1
             history.append({
@@ -1221,7 +1198,7 @@ class BSPEngine:
                 "aggs": dict(aggs),
                 "actor_compute_s": max(m["compute_s"] for m in metas),
                 "actor_ckpt_s": max(m["ckpt_s"] for m in metas),
-                "actor_route_s": max(m["route_s"] for m in metas),
+                "actor_route_s": max(m["route_s"] for m in xmetas),
                 "actor_wall_max_s": max(m["wall_s"] for m in metas),
                 "actor_wall_sum_s": sum(m["wall_s"] for m in metas),
             })
@@ -1231,89 +1208,7 @@ class BSPEngine:
             s += 1
             if done:
                 break
-            inboxes = self._exchange_inboxes(msg_refs)
         return self._finish(s, aggs, history)
-
-    def _run_grid(self, max_supersteps: int, resume: bool) -> BSPResult:
-        """Two-phase superstep loop for dense EdgeScatter programs:
-        apply (chunk owners: merge R pieces -> compute -> publish values)
-        then edge (cells: row gather -> column bincount -> R pieces).
-        The edge phase is launched as soon as the values refs exist, so
-        it overlaps the driver's meta collection and master step."""
-        P, (R, C) = self.graph.P, self.grid
-        history = []
-        s0, g = 0, self.program.master_init(self.graph)
-        aggs, pieces_for = {}, None
-        if resume:
-            found = self.latest_checkpoint()
-            if found:
-                s_ck, man = found
-                self._check_resume_horizon(man, max_supersteps)
-                ray.get([a.load_checkpoint.remote(self.ckpt_dir, s_ck)
-                         for a in self.actors])
-                g = man["globals_next"]
-                aggs = man["aggs"]
-                if man["done"]:
-                    return self._finish(s_ck + 1, aggs, history)
-                vrefs = [self.actors[p].grid_rescatter.remote(s_ck, g)
-                         for p in range(P)]
-                pieces_for = self._grid_edge_round(s_ck, vrefs, R, C)[0]
-                s0 = s_ck + 1
-                self._truncate_metrics(s_ck)
-
-        s = s0
-        while s < max_supersteps:
-            t0 = time.monotonic()
-            do_ckpt = (self.ckpt_dir if self.ckpt_every and
-                       (s % self.ckpt_every == 0) else None)
-            outs = []
-            for p in range(P):
-                args = (s, g, do_ckpt, max_supersteps - 1 - s) + \
-                    (tuple(pieces_for[p]) if s > 0 else ())
-                outs.append(self.actors[p].apply_phase
-                            .options(num_returns=2).remote(*args))
-            vrefs = [o[0] for o in outs]
-            next_pieces, emeta_refs = self._grid_edge_round(s, vrefs, R, C)
-            metas = ray.get([o[1] for o in outs])
-            emetas = ray.get(emeta_refs)   # barrier: pieces materialized
-            wall = time.monotonic() - t0
-            aggs = _reduce_aggs([m["aggs"] for m in metas])
-            msg_total = sum(m["msgs_out"] for m in emetas)
-            cont, g = self.program.master(s, aggs, msg_total, self.graph, g)
-            done = (not cont) or msg_total == 0 or s == max_supersteps - 1
-            history.append({
-                "step": s, "wall_s": wall, "msgs": msg_total,
-                "aggs": dict(aggs),
-                "actor_compute_s": max(m["compute_s"] for m in metas),
-                "actor_ckpt_s": max(m["ckpt_s"] for m in metas),
-                "actor_route_s": max(m["route_s"] for m in emetas),
-                "actor_wall_max_s": max(m["wall_s"] for m in metas),
-                "actor_wall_sum_s": sum(m["wall_s"] for m in metas),
-            })
-            if do_ckpt:
-                self._stash_pending(s, g, aggs, metas, wall, done)
-                self._commit_completed([m.get("checkpoint") for m in metas])
-            s += 1
-            if done:
-                break
-            pieces_for = next_pieces
-        return self._finish(s, aggs, history)
-
-    def _grid_edge_round(self, s, vrefs, R, C):
-        """Launch all cells' edge phases; route piece refs to owners.
-        pieces_for[q][r] = piece from cell (r, col(q)) for chunk q."""
-        P = self.graph.P
-        eouts = []
-        for p in range(P):
-            r_p = p // C
-            row_chunks = range(r_p * C, (r_p + 1) * C)
-            eouts.append(self.actors[p].edge_phase
-                         .options(num_returns=R + 1)
-                         .remote(s, *[vrefs[q] for q in row_chunks]))
-        pieces_for = [[eouts[r * C + q // R][q % R] for r in range(R)]
-                      for q in range(P)]
-        emeta_refs = [e[R] for e in eouts]
-        return pieces_for, emeta_refs
 
     def _finish(self, supersteps, aggs, history) -> BSPResult:
         """Collect per-partition output tables, flush in-flight checkpoint
@@ -1329,15 +1224,16 @@ class BSPEngine:
         self.close()
         return BSPResult(refs, supersteps, aggs, history)
 
-    def close(self):
+    def close(self, evict: bool = False):
         pool = _ACTOR_POOL.get("pool")
-        keep = (self._cached and pool
-                and pool["actors"] is self.actors)
-        if keep:
-            pool["busy"] = False   # pool idle again: next engine may arm it
-        else:
-            for a in self.actors:
-                ray.kill(a)
+        if self._cached and pool and pool["actors"] is self.actors:
+            if not evict:
+                pool["busy"] = False  # pool idle again: next engine may arm it
+                self.actors = []
+                return
+            del _ACTOR_POOL["pool"]
+        for a in self.actors:
+            ray.kill(a)
         self.actors = []
 
 

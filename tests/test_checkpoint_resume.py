@@ -8,9 +8,12 @@ import os
 import shutil
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 
+from ray_linkgraph import engine
 from ray_linkgraph.pages import pages_table
 from ray_linkgraph.extract import extract_links
 from ray_linkgraph.graph import build_graph
@@ -37,17 +40,20 @@ def _truncate(ckpt_dir, keep_step):
             shutil.rmtree(d)
 
 
-def test_pagerank_resume_bitexact(graph, work_dir):
-    ck_a = os.path.join(work_dir, "ck_pr_full")
-    full = pagerank(graph, max_supersteps=40, checkpoint_dir=ck_a)
+@pytest.mark.parametrize("every", [1, 3])
+def test_pagerank_resume_bitexact(graph, work_dir, every):
+    ck_a = os.path.join(work_dir, f"ck_pr_full_{every}")
+    full = pagerank(graph, max_supersteps=40, checkpoint_dir=ck_a,
+                    checkpoint_every=every)
     ranks_full = full.to_arrow().to_pandas().sort_values("v_id")["rank"] \
         .to_numpy()
 
-    ck_b = os.path.join(work_dir, "ck_pr_cut")
-    pagerank(graph, max_supersteps=40, checkpoint_dir=ck_b)
+    ck_b = os.path.join(work_dir, f"ck_pr_cut_{every}")
+    pagerank(graph, max_supersteps=40, checkpoint_dir=ck_b,
+             checkpoint_every=every)
     _truncate(ck_b, 3)
     resumed = pagerank(graph, max_supersteps=40, checkpoint_dir=ck_b,
-                       resume=True)
+                       checkpoint_every=every, resume=True)
     ranks_res = resumed.to_arrow().to_pandas().sort_values("v_id")["rank"] \
         .to_numpy()
     assert resumed.supersteps == full.supersteps
@@ -64,16 +70,18 @@ def test_resume_of_finished_run_is_noop(graph, work_dir):
     assert (a == b).all()
 
 
-def test_wcc_resume_midfrontier(graph, work_dir):
-    ck_a = os.path.join(work_dir, "ck_wcc_full")
-    full = wcc(graph, checkpoint_dir=ck_a)
+@pytest.mark.parametrize("every", [1, 3])
+def test_wcc_resume_midfrontier(graph, work_dir, every):
+    ck_a = os.path.join(work_dir, f"ck_wcc_full_{every}")
+    full = wcc(graph, checkpoint_dir=ck_a, checkpoint_every=every)
     comp_full = full.to_arrow().to_pandas().sort_values("v_id")["component"] \
         .to_numpy()
 
-    ck_b = os.path.join(work_dir, "ck_wcc_cut")
-    wcc(graph, checkpoint_dir=ck_b)
+    ck_b = os.path.join(work_dir, f"ck_wcc_cut_{every}")
+    wcc(graph, checkpoint_dir=ck_b, checkpoint_every=every)
     _truncate(ck_b, 1)  # cut mid-frontier
-    resumed = wcc(graph, checkpoint_dir=ck_b, resume=True)
+    resumed = wcc(graph, checkpoint_dir=ck_b, checkpoint_every=every,
+                  resume=True)
     comp_res = resumed.to_arrow().to_pandas().sort_values("v_id")["component"] \
         .to_numpy()
     assert resumed.supersteps == full.supersteps
@@ -156,7 +164,7 @@ def test_relay_exchange_matches_direct_and_resumes(graph, work_dir,
     crash-cut resume flows through the relayed rescatter path."""
     comp_direct = wcc(graph).to_arrow().to_pandas() \
         .sort_values("v_id")["component"].to_numpy()
-    monkeypatch.setenv("RLG_RELAY_MIN_P", "2")   # force relay at P=4
+    monkeypatch.setattr(engine, "RELAY_MIN_P", 2)   # force relay at P=4
     comp_relay = wcc(graph).to_arrow().to_pandas() \
         .sort_values("v_id")["component"].to_numpy()
     assert (comp_direct == comp_relay).all()
@@ -168,3 +176,27 @@ def test_relay_exchange_matches_direct_and_resumes(graph, work_dir,
     comp_res = resumed.to_arrow().to_pandas() \
         .sort_values("v_id")["component"].to_numpy()
     assert (comp_direct == comp_res).all()
+
+
+def test_resume_refuses_corrupted_checkpoint(graph, work_dir):
+    """Resume recomputes each restored part's checksum and refuses a
+    part file that no longer matches its manifest."""
+    ck = os.path.join(work_dir, "ck_pr_corrupt")
+    pagerank(graph, max_supersteps=10, checkpoint_dir=ck)
+    _truncate(ck, 3)
+    path = os.path.join(ck, "step_00003", "part_00001.parquet")
+    rank = pq.read_table(path).column("rank").to_numpy().copy()
+    rank[0] += 1e-9
+    pq.write_table(pa.table({"rank": rank}), path, compression="none")
+    with pytest.raises(ValueError, match="part_00001.parquet does not match"):
+        pagerank(graph, max_supersteps=10, checkpoint_dir=ck, resume=True)
+
+
+def test_failed_checkpoint_write_raises(graph, work_dir):
+    """A checkpoint write that fails in the actor's background thread
+    fails the run instead of silently stopping manifest commits."""
+    ck = os.path.join(work_dir, "ck_pr_write_fail")
+    os.makedirs(os.path.join(ck, "step_00002", "part_00001.parquet"))
+    with pytest.raises(OSError, match="part_00001.parquet"):
+        pagerank(graph, max_supersteps=10, checkpoint_dir=ck)
+    assert not os.path.exists(os.path.join(ck, "manifest_00002.json"))
