@@ -154,23 +154,14 @@ def bench_pages() -> dict:
 def bench_queries() -> dict:
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     import __ray_entry__ as entry
-    # ~18 of the gate queries are BSP runs over the SAME gate graph:
-    # retain one partition-actor pool across them (saves the ~0.5-1 s
-    # pool startup per query; the pool holds only P_GATE=8 CPUs)
-    os.environ["RLG_ACTOR_CACHE"] = "1"
     out = {}
-    try:
-        for name, fn in entry.queries().items():
-            t0 = time.monotonic()
-            res = fn(SF_DIR)
-            # force execution for lazy datasets
-            if hasattr(res, "to_pandas") and not hasattr(res, "num_rows"):
-                res = res.to_pandas()
-            out[name] = round(time.monotonic() - t0, 3)
-    finally:
-        os.environ.pop("RLG_ACTOR_CACHE", None)
-        from ray_linkgraph.engine import release_cached_actors
-        release_cached_actors()
+    for name, fn in entry.queries().items():
+        t0 = time.monotonic()
+        res = fn(SF_DIR)
+        # force execution for lazy datasets
+        if hasattr(res, "to_pandas") and not hasattr(res, "num_rows"):
+            res = res.to_pandas()
+        out[name] = round(time.monotonic() - t0, 3)
     return out
 
 

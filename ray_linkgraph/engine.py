@@ -5,11 +5,15 @@ The execution model reproduces the reference's synchronous supersteps
 MasterService.java:240-288) with Ray-native machinery:
 
 * one ``PartitionWorker`` actor per hash partition holds the partition's
-  adjacency (built once in ``__init__`` from the graph's partitioned
+  adjacency (loaded once per edge mode from the graph's partitioned
   parquet, the analog of FileGraphPartition's vertex/edge files,
   computer-core/.../compute/FileGraphPartition.java:81-98) plus the
   algorithm's vertex-state numpy arrays (value + frontier, the analog of
   the value/status double-buffer files, ibid.:640-661);
+* the P actors belong to the ``Graph``: the first engine on a graph
+  starts them, every engine re-arms them for its program
+  (``set_program``, the analog of the worker's one-time ``init()``,
+  ibid.:81-117), and they end when the ``Graph`` is garbage-collected;
 * ``BSPEngine.run`` is the one superstep loop: every actor computes,
   checkpoints and hands its sends to the exchange, the exchange's next
   round is launched at once, and the driver collects the metas, runs the
@@ -51,6 +55,7 @@ import json
 import os
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pyarrow as pa
@@ -608,24 +613,22 @@ def _relay_pod(k: int, *blocks):
 # ---------------------------------------------------------------------------
 
 class PartitionWorker:
-    def __init__(self, graph_dir: str, meta: dict, part_id: int, program,
-                 grid: tuple[int, int] | None = None, relay=None):
+    def __init__(self, graph_dir: str, meta: dict, part_id: int):
         self.ctx = PartCtx(graph_dir, meta, part_id)
         self.P = meta["P"]
         self._local_dtype = np.int32 if meta["part_size"] < 2**31 else np.int64
         self._ck_thread = None     # in-flight async checkpoint write
         self._ck_done = None       # completed write info awaiting pickup
         self._ck_error = None      # exception of a failed write
-        self.set_program(program, grid, relay)
 
     def set_program(self, program, grid: tuple[int, int] | None = None,
                     relay=None):
-        """(Re)arm the actor for a run and its exchange: ``grid`` = (R, C)
-        for the 2D grid, ``relay`` = the pods of the 1D pod relay, neither
-        for the direct 1D exchange. Cached pools (RLG_ACTOR_CACHE) call
-        this between queries instead of paying a fresh actor pool: the
-        PartCtx CSR/grid/plan caches persist per edge MODE, so only the
-        first program per mode pays the adjacency build."""
+        """Arm the actor for one engine's run and its exchange: ``grid`` =
+        (R, C) for the 2D grid, ``relay`` = the pods of the 1D pod relay,
+        neither for the direct 1D exchange. Every engine on the graph arms
+        the graph's pool through here; the PartCtx CSR/grid/plan caches
+        persist per edge MODE, so only the first program per mode pays the
+        adjacency build."""
         self._join_ck()            # never carry an in-flight write over
         self.program = program
         self.program.combiner      # touch to fail early on bad programs
@@ -878,52 +881,48 @@ class BSPResult:
         return pa.concat_tables([t for t in tables if t.num_rows])
 
 
-# -- cached partition-actor pool ---------------------------------------------
-# Opt-in (env RLG_ACTOR_CACHE=1): the ~0.5-1 s partition-actor pool
-# startup is a visible fraction of every gate-scale query, and a bench /
-# driver invocation runs ~18 BSP queries against the SAME graph. The
-# cache keeps ONE pool alive (keyed by graph identity) and re-arms it
-# per query via PartitionWorker.set_program — adjacency/plan caches
-# persist per edge mode. Off by default: a retained pool holds its CPUs
-# between runs, which a low-CPU session (tests at num_cpus=4) needs back
-# for shuffle actor pools. Single pool only, so the held resources are
-# bounded by one graph's P.
-_ACTOR_POOL: dict = {}
+# -- the graph's partition-actor pool ----------------------------------------
+# Each Graph owns one pool of P PartitionWorker actors: the first engine
+# on the graph starts it, every engine re-arms it with set_program, so a
+# pool start and each mode's adjacency load are paid once per graph, not
+# once per query. A weak key: when the Graph is garbage-collected its
+# pool record and actor handles go with it, and Ray ends the actors. The
+# actors reserve no CPU: they compute only while the driver waits on a
+# superstep, and the Ray Data stages run between BSP queries need the
+# cluster's CPUs. No task events: for a live actor the driver's task-event
+# buffer holds each call's inlined messages until a periodic flush
+# (measured over 8 PageRank runs at V=20k, P=4: driver peak RSS 334 MB
+# with task events, 204 MB without).
+_POOLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _actor_cache_enabled() -> bool:
-    return os.environ.get("RLG_ACTOR_CACHE", "") == "1"
+def _ray_session() -> tuple[str, str]:
+    """Actor handles of an earlier Ray session cannot be called: a new
+    driver job gets a new job id, a restarted local cluster (whose first
+    job id repeats) a new node id."""
+    ctx = ray.get_runtime_context()
+    return ctx.get_job_id(), ctx.get_node_id()
 
 
-def _graph_generation(graph) -> int:
-    """Build-generation marker for the actor-cache key: the nonce
-    build_graph/build_synthetic_graph stamp into meta at build time
-    (mode builds re-save meta but keep it — they only add files, so
-    pool reuse across modes stays valid). Graph dirs built before the
-    nonce existed fall back to meta.json's mtime — stable across
-    Graph.load calls (so cross-query pool reuse still works for old
-    dirs) and bumped by any rebuild; a mode build also bumps it for
-    such dirs, which costs one conservative pool eviction, never a
-    stale cache."""
-    nonce = graph.meta.get("build_nonce")
-    if nonce:
-        return nonce
-    try:
-        return os.stat(os.path.join(graph.dir, "meta.json")).st_mtime_ns
-    except OSError:
-        return id(graph)
+def _start_pool(graph: Graph) -> dict:
+    Worker = ray.remote(PartitionWorker).options(
+        num_cpus=0, scheduling_strategy="SPREAD", enable_task_events=False)
+    _POOLS[graph] = pool = {
+        "actors": [Worker.remote(graph.dir, graph.meta, p)
+                   for p in range(graph.P)],
+        "session": _ray_session()}
+    return pool
 
 
-def release_cached_actors():
-    """Kill the retained partition-actor pool (frees its CPUs)."""
-    pool = _ACTOR_POOL.pop("pool", None)
-    if pool:
-        for a in pool["actors"]:
-            ray.kill(a)
+def _kill_pool(graph: Graph):
+    for a in _POOLS.pop(graph, {}).get("actors", []):
+        ray.kill(a)
 
 
 class BSPEngine:
-    """Drives P PartitionWorker actors through the superstep loop."""
+    """Drives the graph's P PartitionWorker actors through the superstep
+    loop. Constructing an engine re-arms the pool for its program, so an
+    engine must run before the next engine on the same graph is built."""
 
     def __init__(self, graph: Graph, program, checkpoint_dir: str | None = None,
                  checkpoint_every: int = 1):
@@ -961,57 +960,24 @@ class BSPEngine:
         # return values per actor send, besides the meta
         self._n_out = (1 if self.grid else
                        len(self.relay) if self.relay else P)
-        self._use_cache = _actor_cache_enabled()
-        # the key carries a GENERATION marker (meta.json mtime): a graph
-        # rebuilt in-place at the same dir with unchanged P/V must NOT
-        # reuse actors whose PartCtx CSR/degree caches hold the old
-        # adjacency (ADVICE.md r4). build_graph/save_meta rewrite
-        # meta.json atomically, so the mtime moves on every rebuild.
-        key = (graph.dir, P, graph.meta.get("V"),
-               graph.meta.get("synthetic") is not None,
-               _graph_generation(graph))
-        pool = _ACTOR_POOL.get("pool")
-        self.actors = None
-        self._cached = False
-        # a pool whose engine is mid-run must not be re-armed
-        # (set_program would reset program/state under the running
-        # engine) nor evicted (killing live actors): leave it alone and
-        # build a fresh uncached pool for this engine instead.
-        if (self._use_cache and pool and pool["key"] == key
-                and not pool.get("busy")):
-            try:
-                ray.get([a.set_program.remote(program, self.grid,
-                                              self.relay)
-                         for a in pool["actors"]])
-                self.actors = pool["actors"]
-                pool["busy"] = True
-                self._cached = True
-            except ray.exceptions.RayActorError:
-                release_cached_actors()   # pool died: rebuild below
-        if self.actors is None:
-            stale = _ACTOR_POOL.get("pool")
-            if stale is not None and not stale.get("busy"):
-                release_cached_actors()   # other graph/generation: evict
-            total_cpus = ray.cluster_resources().get("CPU", P) or P
-            # Reserve at most HALF the cluster for the pool: the actors
-            # only compute while the driver waits on a superstep (so a
-            # low reservation never slows BSP compute — nothing else is
-            # hot then), but a retained/cached pool would otherwise
-            # starve Ray Data stages that run between BSP queries.
-            cpu_per_actor = min(1.0, max(0.05, (total_cpus / 2)
-                                         / max(P, 1)))
-            Worker = ray.remote(PartitionWorker)
-            self.actors = [
-                Worker.options(num_cpus=cpu_per_actor).remote(
-                    graph.dir, graph.meta, p, program, self.grid, self.relay)
-                for p in range(P)
-            ]
-            if self._use_cache and _ACTOR_POOL.get("pool") is None:
-                _ACTOR_POOL["pool"] = {"key": key, "actors": self.actors,
-                                       "busy": True}
-                self._cached = True
+        pool = _POOLS.get(graph)
+        if pool is None or pool["session"] != _ray_session():
+            pool = _start_pool(graph)
+        try:
+            self._arm(pool)
+        except ray.exceptions.RayActorError:
+            _kill_pool(graph)     # an actor died since the last run
+            self._arm(_start_pool(graph))
         if checkpoint_dir:
             os.makedirs(checkpoint_dir, exist_ok=True)
+
+    def _arm(self, pool: dict):
+        # claim the pool before arming: an earlier engine on this graph
+        # must not run on actors re-armed (even partly) for this one
+        pool["armed_by"] = weakref.ref(self)
+        self._pool, self.actors = pool, pool["actors"]
+        ray.get([a.set_program.remote(self.program, self.grid, self.relay)
+                 for a in self.actors])
 
     # -- manifest helpers ---------------------------------------------------
     # Lag-1 commit protocol: checkpoint writes are async inside the
@@ -1144,10 +1110,15 @@ class BSPEngine:
         return inboxes, []
 
     def run(self, max_supersteps: int = 10, resume: bool = False) -> BSPResult:
+        if (_POOLS.get(self.graph) is not self._pool
+                or self._pool["armed_by"]() is not self):
+            raise RuntimeError(
+                "this graph's actor pool was re-armed by a later BSPEngine "
+                "or dropped by a failed run; build a new engine to run")
         try:
             return self._run(max_supersteps, resume)
         except BaseException:
-            self.close(evict=True)   # a failed run never keeps its pool
+            _kill_pool(self.graph)   # a failed run never keeps its pool
             raise
 
     def _run(self, max_supersteps: int, resume: bool) -> BSPResult:
@@ -1211,30 +1182,17 @@ class BSPEngine:
         return self._finish(s, aggs, history)
 
     def _finish(self, supersteps, aggs, history) -> BSPResult:
-        """Collect per-partition output tables, flush in-flight checkpoint
-        writes (committing their manifests), then release the actor pool
-        (its CPUs) — resume works from the on-disk checkpoints, not from
-        live actors."""
+        """Collect per-partition output tables and flush in-flight
+        checkpoint writes (committing their manifests). The pool stays
+        with the graph; the outputs are computed before returning, so
+        they outlive a pool that goes with its Graph."""
         refs = [a.output_table.remote() for a in self.actors]
-        ray.wait(refs, num_returns=len(refs))  # ensure computed before kill
+        ray.wait(refs, num_returns=len(refs))
         if self.ckpt_dir and self._pending:
             infos = ray.get([a.flush_checkpoint.remote()
                              for a in self.actors])
             self._commit_completed(infos)
-        self.close()
         return BSPResult(refs, supersteps, aggs, history)
-
-    def close(self, evict: bool = False):
-        pool = _ACTOR_POOL.get("pool")
-        if self._cached and pool and pool["actors"] is self.actors:
-            if not evict:
-                pool["busy"] = False  # pool idle again: next engine may arm it
-                self.actors = []
-                return
-            del _ACTOR_POOL["pool"]
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []
 
 
 def _reduce_aggs(dicts: list[dict]) -> dict:

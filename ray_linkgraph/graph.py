@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 import numpy as np
 import polars as pl
@@ -529,11 +528,6 @@ def build_graph(edges_ds, graph_dir: str, n_parts: int,
         "properties_merge": properties_merge,
         "edge_counts": {"out": n_edges},
         "build_stage_secs": _stages,
-        # generation marker: a rebuild at the same dir gets a fresh
-        # nonce so the engine's actor-pool cache can't serve stale
-        # adjacency (ADVICE.md r4). Mode builds (ensure_mode) re-save
-        # meta but keep the nonce — they only ADD files.
-        "build_nonce": time.time_ns(),
     }
     g = Graph(graph_dir, meta)
     g.save_meta()

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 import numpy as np
 import pyarrow as pa
@@ -128,7 +127,6 @@ def build_synthetic_graph(graph_dir: str, V: int, avg_deg: int = 10,
         "no_dictionary": True,    # ids ARE the vertex keys; no url dict
         "synthetic": {"V": V, "avg_deg": avg_deg, "seed": seed},
         "edge_counts": {"out": total},
-        "build_nonce": time.time_ns(),
     }
     g = Graph(graph_dir, meta)
     g.save_meta()

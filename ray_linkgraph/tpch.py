@@ -26,11 +26,13 @@ to 10 decimals on both sides to absorb summation-order ULPs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
@@ -92,8 +94,11 @@ def derive_edges_ds(sf_dir: str):
     return ds.map_batches(derive, batch_format="pyarrow")
 
 
+@functools.lru_cache(maxsize=1)
 def gate_graph(sf_dir: str) -> Graph:
-    """Build (or reuse) the derived graph for sf_dir."""
+    """Build (or reuse) the derived graph for sf_dir. Memoised, so the
+    BSP gate queries of one process share the graph's partition-actor
+    pool."""
     key = hashlib.sha256(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
     gdir = os.path.join(CACHE_ROOT, f"tpch_{key}_p{P_GATE}")
     return build_graph(derive_edges_ds(sf_dir), gdir, n_parts=P_GATE,
@@ -101,9 +106,13 @@ def gate_graph(sf_dir: str) -> Graph:
 
 
 def _node_map(g: Graph) -> np.ndarray:
-    """v_id -> original integer node id."""
-    return np.array([int(u) for u in g.ids_to_urls(np.arange(g.V))],
-                    dtype=np.int64)
+    """v_id -> original integer node id: the dictionary shards' urls in
+    bucket order are the urls in v_id order."""
+    dict_dir = os.path.join(g.dir, "dict")
+    urls = [pq.read_table(os.path.join(dict_dir, f"bucket_{b:05d}.parquet"),
+                          columns=["url"]).column("url")
+            for b in range(g.meta["n_buckets"])]
+    return np.concatenate([pc.cast(u, pa.int64()).to_numpy() for u in urls])
 
 
 def _with_nodes(g: Graph, table: pa.Table, value_cols: dict) -> pa.Table:

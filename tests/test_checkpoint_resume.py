@@ -194,9 +194,13 @@ def test_resume_refuses_corrupted_checkpoint(graph, work_dir):
 
 def test_failed_checkpoint_write_raises(graph, work_dir):
     """A checkpoint write that fails in the actor's background thread
-    fails the run instead of silently stopping manifest commits."""
+    fails the run instead of silently stopping manifest commits, and the
+    graph still serves later runs."""
     ck = os.path.join(work_dir, "ck_pr_write_fail")
     os.makedirs(os.path.join(ck, "step_00002", "part_00001.parquet"))
     with pytest.raises(OSError, match="part_00001.parquet"):
         pagerank(graph, max_supersteps=10, checkpoint_dir=ck)
     assert not os.path.exists(os.path.join(ck, "manifest_00002.json"))
+    # the failed run dropped the graph's pool; the next run starts a new one
+    res = pagerank(graph, l1_threshold=0.0, max_supersteps=10)
+    assert res.supersteps == 10 and res.to_arrow().num_rows == graph.V

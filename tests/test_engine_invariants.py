@@ -65,41 +65,149 @@ def test_agg_by_int_keys_matches_plain_groupby(rows, reduce):
         assert got == exp
 
 
-def test_actor_pool_cache_reuse(work_dir, monkeypatch):
-    """RLG_ACTOR_CACHE=1: successive runs on the same graph re-arm one
-    retained partition-actor pool (same actor ids) instead of paying a
-    fresh pool per query; results are unchanged; release kills it."""
-    import os
-    import ray
+def _ranks(res):
+    return res.to_arrow().to_pandas().sort_values("v_id")["rank"].to_numpy()
+
+
+def _pool_ids(g):
     from ray_linkgraph import engine
-    from ray_linkgraph.algorithms import pagerank, wcc
-    edges = [(i, (i * 3 + 1) % 20) for i in range(20)]
+    return [a._actor_id for a in engine._POOLS[g]["actors"]]
+
+
+def _edge_graph(edges, path, n_parts):
     t = pa.table({"src": [str(a) for a, b in edges],
                   "dst": [str(b) for a, b in edges]})
-    g = build_graph(rd.from_arrow(t), os.path.join(work_dir, "cache_g"),
-                    n_parts=2)
-    base = pagerank(g, l1_threshold=0.0, max_supersteps=6).to_arrow() \
-        .to_pandas().sort_values("v_id")["rank"].to_numpy()
-    monkeypatch.setenv("RLG_ACTOR_CACHE", "1")
-    try:
-        r1 = pagerank(g, l1_threshold=0.0, max_supersteps=6)
-        pool1 = [a._actor_id for a in engine._ACTOR_POOL["pool"]["actors"]]
-        # different program + different edge MODE on the same pool
-        w = wcc(g, max_supersteps=10).to_arrow().to_pandas()
-        pool2 = [a._actor_id for a in engine._ACTOR_POOL["pool"]["actors"]]
-        assert pool1 == pool2                     # reused, not rebuilt
-        r2 = pagerank(g, l1_threshold=0.0, max_supersteps=6)
-        pool3 = [a._actor_id for a in engine._ACTOR_POOL["pool"]["actors"]]
-        assert pool1 == pool3
-        got1 = r1.to_arrow().to_pandas().sort_values("v_id")["rank"] \
-            .to_numpy()
-        got2 = r2.to_arrow().to_pandas().sort_values("v_id")["rank"] \
-            .to_numpy()
-        assert np.array_equal(got1, base) and np.array_equal(got2, base)
-        assert len(set(w["component"])) >= 1
-    finally:
-        engine.release_cached_actors()
-    assert "pool" not in engine._ACTOR_POOL
+    return build_graph(rd.from_arrow(t), path, n_parts=n_parts)
+
+
+def test_actor_pool_cache_reuse(work_dir):
+    """Successive runs on one Graph re-arm its partition-actor pool (same
+    actor ids) across programs and edge modes; results are bit-equal to a
+    run on a fresh Graph.load of the same dir, which gets its own pool;
+    the pool keeps no reference to its Graph, so the Graph can go."""
+    import gc
+    import os
+    import weakref
+    from ray_linkgraph import engine
+    from ray_linkgraph.algorithms import pagerank, wcc
+    from ray_linkgraph.graph import Graph
+    g = _edge_graph([(i, (i * 3 + 1) % 20) for i in range(20)],
+                    os.path.join(work_dir, "cache_g"), 2)
+    r1 = _ranks(pagerank(g, l1_threshold=0.0, max_supersteps=6))
+    pool1 = _pool_ids(g)
+    # different program + different edge MODE on the same pool
+    w = wcc(g, max_supersteps=10).to_arrow().to_pandas()
+    assert _pool_ids(g) == pool1                  # reused, not rebuilt
+    r2 = _ranks(pagerank(g, l1_threshold=0.0, max_supersteps=6))
+    assert _pool_ids(g) == pool1
+    fresh = Graph.load(g.dir)
+    base = _ranks(pagerank(fresh, l1_threshold=0.0, max_supersteps=6))
+    assert not set(_pool_ids(fresh)) & set(pool1)
+    assert np.array_equal(r1, base) and np.array_equal(r2, base)
+    assert len(set(w["component"])) >= 1
+    gone = weakref.ref(fresh)
+    del fresh
+    gc.collect()
+    assert gone() is None and g in engine._POOLS
+
+
+def test_actor_pool_respawns_after_actor_death(work_dir):
+    """A pool actor killed between two runs: the next engine finds the
+    pool dead while arming it, starts a fresh pool once, and its run is
+    bit-identical to the uninterrupted one."""
+    import os
+    import time
+    import ray
+    from ray_linkgraph import engine
+    from ray_linkgraph.algorithms import pagerank
+    g = _edge_graph([(i, (i * 7 + 3) % 40) for i in range(40)]
+                    + [(i, (i + 1) % 40) for i in range(40)],
+                    os.path.join(work_dir, "kill_g"), 4)
+    want = _ranks(pagerank(g, l1_threshold=0.0, max_supersteps=10))
+    pool1 = _pool_ids(g)
+    victim = engine._POOLS[g]["actors"][1]
+    ray.kill(victim)
+    deadline = time.monotonic() + 60
+    while True:                     # wait until Ray reports the death
+        try:
+            ray.get(victim.__ray_ready__.remote())
+        except ray.exceptions.RayActorError:
+            break
+        assert time.monotonic() < deadline
+        time.sleep(0.1)
+    got = _ranks(pagerank(g, l1_threshold=0.0, max_supersteps=10))
+    assert not set(_pool_ids(g)) & set(pool1)     # a fresh pool
+    assert np.array_equal(got, want)
+
+
+def test_actor_pool_rearmed_by_later_engine(work_dir):
+    """Building an engine re-arms the graph's pool for its program, so an
+    engine built earlier on the same graph refuses to run; the later
+    engine runs normally."""
+    import os
+    from ray_linkgraph.algorithms import PageRankProgram, WccProgram, wcc
+    from ray_linkgraph.engine import BSPEngine
+    g = _edge_graph([(i, (i * 3 + 1) % 20) for i in range(20)],
+                    os.path.join(work_dir, "rearm_g"), 2)
+    g.ensure_mode("both")
+    first = BSPEngine(g, PageRankProgram(l1_threshold=0.0))
+    second = BSPEngine(g, WccProgram())
+    with pytest.raises(RuntimeError, match="re-armed"):
+        first.run(max_supersteps=6)
+    got = second.run(max_supersteps=100).to_arrow().sort_by("v_id")
+    assert got.equals(wcc(g).to_arrow().sort_by("v_id"))
+
+
+def test_actor_pool_after_ray_restart(work_dir):
+    """A Graph kept across ray.shutdown/ray.init (a memoised gate graph, a
+    notebook) gets a fresh pool in the new session: the old actor handles
+    belong to the earlier session and cannot be called. Runs in a child
+    process, since it restarts Ray."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+    gdir = os.path.join(work_dir, "restart_g")
+    script = textwrap.dedent(f"""
+        import pyarrow as pa
+        import ray
+        import ray.data as rd
+        from ray_linkgraph.algorithms import pagerank
+        from ray_linkgraph.graph import build_graph
+
+        def start():
+            ray.init(address="local", num_cpus=2, include_dashboard=False,
+                     logging_level="ERROR")
+            rd.DataContext.get_current().enable_progress_bars = False
+
+        start()
+        t = pa.table({{"src": ["a", "b", "c"], "dst": ["b", "c", "a"]}})
+        g = build_graph(rd.from_arrow(t), {gdir!r}, n_parts=2)
+        before = pagerank(g, max_supersteps=4).to_arrow().sort_by("v_id")
+        ray.shutdown()
+        start()
+        after = pagerank(g, max_supersteps=4).to_arrow().sort_by("v_id")
+        ray.shutdown()
+        print("EQUAL" if before.equals(after) else "DIFFERENT")
+    """)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=600,
+                         cwd=Path(__file__).resolve().parents[1])
+    assert out.stdout.strip().endswith("EQUAL"), out.stderr[-3000:]
+
+
+def test_no_rlg_env_knobs():
+    """Tuning goes through code, not environment switches: no source file
+    of the library, its tools or bench.py mentions an RLG_ variable."""
+    from pathlib import Path
+    root = Path(__file__).resolve().parents[1]
+    files = [*root.glob("ray_linkgraph/**/*.py"),
+             *root.glob("tools/**/*.py"), root / "bench.py"]
+    hits = [f"{p.relative_to(root)}:{i}" for p in files
+            for i, line in enumerate(p.read_text().splitlines(), 1)
+            if "RLG_" in line]
+    assert files and not hits
 
 
 def test_degenerate_graphs(work_dir):
@@ -212,61 +320,25 @@ def test_simhash_property_matches_fold(texts):
         assert int(g) == exp
 
 
-def test_actor_pool_cache_invalidated_on_rebuild(work_dir, monkeypatch):
-    """A graph REBUILT in-place at the same dir with unchanged P and V
-    must not reuse cached actors holding the old adjacency (ADVICE.md
-    r4: the pool key now carries meta.json's mtime as a generation
-    marker); and a pool marked busy (engine mid-run) is neither
-    re-armed nor evicted — a fresh uncached pool serves the new engine."""
+def test_actor_pool_cache_invalidated_on_rebuild(work_dir):
+    """A graph rebuilt in place (same dir, P and V, other edges) is a new
+    Graph with a new pool, and that pool computes on the new edges."""
     import os
     import shutil
-    import ray
-    from ray_linkgraph import engine
     from ray_linkgraph.algorithms import pagerank
-
-    def mk(edges, tag):
-        t = pa.table({"src": [str(a) for a, b in edges],
-                      "dst": [str(b) for a, b in edges]})
-        d = os.path.join(work_dir, "regen_g")
-        return build_graph(rd.from_arrow(t), d, n_parts=2)
-
+    from ray_linkgraph.graph import Graph
+    d = os.path.join(work_dir, "regen_g")
     ring = [(i, (i + 1) % 20) for i in range(20)]
     # same V, same P, different (non-regular) topology -> different ranks
     jump = [(i, (i * 7 + 3) % 20) for i in range(20)] + \
            [(0, j) for j in range(1, 6)]
-    monkeypatch.setenv("RLG_ACTOR_CACHE", "1")
-    try:
-        g1 = mk(ring, "a")
-        r1 = pagerank(g1, l1_threshold=0.0, max_supersteps=6).to_arrow() \
-            .to_pandas().sort_values("v_id")["rank"].to_numpy()
-        pool1 = [a._actor_id for a in engine._ACTOR_POOL["pool"]["actors"]]
-        # rebuild IN PLACE: same dir, same P, same V, different edges
-        shutil.rmtree(os.path.join(work_dir, "regen_g"))
-        g2 = mk(jump, "b")
-        r2 = pagerank(g2, l1_threshold=0.0, max_supersteps=6).to_arrow() \
-            .to_pandas().sort_values("v_id")["rank"].to_numpy()
-        pool2 = [a._actor_id for a in engine._ACTOR_POOL["pool"]["actors"]]
-        assert pool1 != pool2            # generation changed -> new pool
-        assert not np.allclose(r1, r2)   # genuinely computed on new edges
-        # expected ranks from a fresh cache-off run
-        monkeypatch.delenv("RLG_ACTOR_CACHE")
-        exp = pagerank(g2, l1_threshold=0.0, max_supersteps=6).to_arrow() \
-            .to_pandas().sort_values("v_id")["rank"].to_numpy()
-        assert np.allclose(r2, exp, atol=1e-12, rtol=0)
-        monkeypatch.setenv("RLG_ACTOR_CACHE", "1")
-        # re-arm the cache (the cache-off run above evicted the idle
-        # pool), then mark it busy: neither re-armed nor evicted; the
-        # new engine runs on a fresh uncached pool, still correct
-        r2b = pagerank(g2, l1_threshold=0.0, max_supersteps=6).to_arrow() \
-            .to_pandas().sort_values("v_id")["rank"].to_numpy()
-        assert np.allclose(r2b, exp, atol=1e-12, rtol=0)
-        pool2 = [a._actor_id for a in engine._ACTOR_POOL["pool"]["actors"]]
-        engine._ACTOR_POOL["pool"]["busy"] = True
-        r3 = pagerank(g2, l1_threshold=0.0, max_supersteps=6).to_arrow() \
-            .to_pandas().sort_values("v_id")["rank"].to_numpy()
-        assert np.allclose(r3, exp, atol=1e-12, rtol=0)
-        pool3 = [a._actor_id for a in engine._ACTOR_POOL["pool"]["actors"]]
-        assert pool3 == pool2 and engine._ACTOR_POOL["pool"]["busy"]
-        engine._ACTOR_POOL["pool"]["busy"] = False
-    finally:
-        engine.release_cached_actors()
+    g1 = _edge_graph(ring, d, 2)
+    r1 = _ranks(pagerank(g1, l1_threshold=0.0, max_supersteps=6))
+    shutil.rmtree(d)
+    g2 = _edge_graph(jump, d, 2)
+    assert (g2.P, g2.V) == (g1.P, g1.V)
+    r2 = _ranks(pagerank(g2, l1_threshold=0.0, max_supersteps=6))
+    assert not set(_pool_ids(g1)) & set(_pool_ids(g2))
+    assert not np.allclose(r1, r2)   # genuinely computed on new edges
+    exp = _ranks(pagerank(Graph.load(d), l1_threshold=0.0, max_supersteps=6))
+    assert np.array_equal(r2, exp)
