@@ -1,220 +1,140 @@
-"""Per-vertex triangle count + clustering coefficient as a Ray Data
-join pipeline (non-iterative — no BSP loop needed).
+"""Per-vertex triangle count + clustering coefficient as a 4-superstep
+vertex program on the graph's partition actors (both-mode adjacency).
 
 Conformance spec (/root/reference/computer-algorithm/.../community/
 trianglecount/TriangleCount.java:69-195): with both-direction, deduped,
 self-loop-free adjacency, each vertex's count equals the number of
-(u, w) pairs with u ∈ N(v), w ∈ N(u), w < u, w ∈ N(v) — i.e. every
-triangle through v counted exactly once. The reference materializes this
-by shipping each vertex's lower-id neighbor list to all neighbors (with
-a per-partition "superedge" dedup cache for hubs ≥ 100 edges,
-TriangleCount.java:87-114). The triangle SET is independent of edge
-orientation, so we orient by (degree, id) rank instead of raw id — the
-standard wedge-count cap that bounds per-vertex oriented out-degree at
-O(sqrt(E)) and replaces the reference's superedge cache as the hub/skew
-mitigation (degree-capped splits, SURVEY.md §4).
+triangles through it, every triangle counted exactly once per corner.
+The reference is a Pregel ``Computation``: superstep 0 ships each
+vertex's lower-id neighbour list to all its neighbours (with a
+per-partition "superedge" dedup cache for hubs >= 100 edges,
+TriangleCount.java:87-114), superstep 1 intersects every received list
+with the receiver's own neighbour set (:174-195).
 
-Pipeline:
-  1. per-partition tasks emit (src, dst, deg_src) straight from the
-     partitioned edge files (deg_src is partition-local — no shuffle);
-  2. shuffle by dst partition: attach deg_dst (each group re-derives its
-     partition's degree array from that partition's sorted edge file —
-     a local read, never a broadcast of all degrees) and keep the
-     rank(src) < rank(dst) oriented edges;
-  3. shuffle oriented edges by src partition so ALL of a vertex's
-     oriented out-neighbors are together; emit rank-ordered wedges
-     (w1, w2, apex = center) plus the oriented edges (apex = -1);
-  4. shuffle by hash(w1, w2) bucket: sorted-composite-key membership
-     join wedges ⋈ oriented edges inside each bucket (numpy searchsorted
-     — every stage stays in pyarrow group format, no pandas block
-     conversions), explode matches to one row per triangle corner, and
-     reduce to dense per-partition count arrays.
+Orientation. The triangle SET is independent of edge orientation, so
+we orient by (degree, id) rank instead of raw id: N+(v) = the
+neighbours ranked above v. Every triangle a < b < c (by rank) is then
+found exactly once, at the wedge (a; b, c) with apex a. Ranking by
+degree caps |N+(v)| at O(sqrt(E)) and the wedge total at O(E^1.5), and
+a hub, ranked at the top, has an empty N+ and ships nothing — this
+replaces the reference's superedge cache as the hub/skew treatment
+(degree-capped splits, SURVEY.md §4).
+
+Supersteps (``concat`` combiner):
+  0. every vertex v sends (sender=v, deg=d(v)) along its both-mode
+     edges — 2E messages; the adjacency is symmetric, so every vertex
+     learns its neighbours' degrees;
+  1. v keeps N+(v) sorted by rank (as sorted composite keys v*V + u in
+     its state) and sends to each u in N+(v) apex=v plus, as a
+     ``RaggedCol``, the part of N+(v) ranked after u — one list per
+     oriented edge, sum_v |N+(v)|(|N+(v)|-1)/2 entries in all;
+  2. u tests every listed w for w in N+(u) with one ``searchsorted``
+     over its sorted keys u*V + w (w ranks above u, so edge u-w exists
+     iff w in N+(u)); each hit credits u locally and sends one credit
+     to the apex and one to w — 2 messages per triangle;
+  3. credits are summed with a ``bincount``; the program stops.
+On the perfbench ``graph_queries`` graph of seed 15701 (V=20,050,
+E=154,900, P=4; top degree 396, largest N+ 48) the steps send 309,676
+degree messages, 134,847 lists (585,308 entries), 24,744 credits and
+none; the program takes 0.053 s (median of 7, Ray at 4 logical CPUs).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-import pyarrow as pa
-import pyarrow.parquet as pq
-import ray
-import ray.data
 
-from .._util import hash_u64, _strip_schema_meta
+from ..engine import RaggedCol, VertexProgram, run_program
 from ..graph import Graph
 
-
-def _part_degrees(graph_dir: str, part_size: int, V: int, p: int) -> np.ndarray:
-    """Dense both-mode degree array for partition p (local file read)."""
-    lo = p * part_size
-    size = max(0, min(V, lo + part_size) - lo)
-    path = os.path.join(graph_dir, "edges_both", f"part_{p:05d}.parquet")
-    if not os.path.exists(path):
-        return np.zeros(size, dtype=np.int64)
-    src = pq.read_table(path, columns=["src_id"]).column("src_id").to_numpy()
-    return np.bincount(src - lo, minlength=size)
+_Z = np.zeros(0, dtype=np.int64)
 
 
-@ray.remote
-def _edges_with_src_deg(graph_dir: str, part_size: int, V: int, p: int):
-    path = os.path.join(graph_dir, "edges_both", f"part_{p:05d}.parquet")
-    if not os.path.exists(path):
-        return pa.table({"src": pa.array([], pa.int64()),
-                         "dst": pa.array([], pa.int64()),
-                         "deg_src": pa.array([], pa.int64())})
-    t = pq.read_table(path)
-    src = t.column("src_id").to_numpy()
-    dst = t.column("dst_id").to_numpy()
-    deg = _part_degrees(graph_dir, part_size, V, p)
-    return pa.table({"src": pa.array(src), "dst": pa.array(dst),
-                     "deg_src": pa.array(deg[src - p * part_size])})
+class TriangleProgram(VertexProgram):
+    combiner = "concat"
+    mode = "both"
+
+    def __init__(self, with_coefficient: bool = False):
+        self.with_coefficient = with_coefficient
+
+    def init(self, ctx, g):
+        return {"tri": np.zeros(ctx.size, dtype=np.int64), "nplus": _Z}
+
+    def compute0(self, ctx, state, g):
+        indptr, adj, _ = ctx.csr("both")
+        deg = np.diff(indptr)
+        return adj, {"sender": np.repeat(ctx.vids(), deg),
+                     "deg": np.repeat(deg, deg)}, {}
+
+    def compute(self, ctx, state, inbox, g, s):
+        # a partition that received nothing has no payload columns
+        if len(inbox.dst) == 0:
+            return _Z, {}, {}
+        if s == 1:
+            return self._orient(ctx, state, inbox)
+        if s == 2:
+            return self._intersect(ctx, state, inbox)
+        state["tri"] += np.bincount(inbox.dst, minlength=ctx.size)
+        return _Z, {}, {}
+
+    def _orient(self, ctx, state, inbox):
+        deg_u, u = inbox.cols            # payload keys in sorted order
+        v = inbox.dst.astype(np.int64)
+        deg_v = ctx.degrees("both")[v]
+        v_g = v + ctx.lo
+        up = (deg_u > deg_v) | ((deg_u == deg_v) & (u > v_g))
+        v, v_g, u, deg_u = v[up], v_g[up], u[up], deg_u[up]
+        order = np.lexsort((u, deg_u, v))       # N+(v) segments by rank
+        v, v_g, u = v[order], v_g[order], u[order]
+        state["nplus"] = np.sort(v_g * np.int64(ctx.V) + u)
+        # message i goes to u[i] and lists the rest of its segment
+        seg_end = np.searchsorted(v, v, side="right")
+        n = seg_end - np.arange(len(v)) - 1
+        send = np.flatnonzero(n)
+        n = n[send]
+        off = np.zeros(len(send) + 1, dtype=np.int64)
+        np.cumsum(n, out=off[1:])
+        pos = np.arange(off[-1]) + np.repeat(send + 1 - off[:-1], n)
+        return u[send], {"apex": v_g[send],
+                         "list": RaggedCol(u[pos], off)}, {}
+
+    def _intersect(self, ctx, state, inbox):
+        apex, lists = inbox.cols
+        n = lists.lengths()
+        row = np.repeat(np.arange(len(n)), n)
+        u = inbox.dst.astype(np.int64)[row]
+        w = lists.flat
+        keys, state["nplus"] = state["nplus"], _Z
+        q = (u + ctx.lo) * np.int64(ctx.V) + w
+        pos = np.searchsorted(keys, q)
+        hit = pos < len(keys)
+        hit[hit] = keys[pos[hit]] == q[hit]
+        state["tri"] += np.bincount(u[hit], minlength=ctx.size)
+        return np.concatenate([apex[row[hit]], w[hit]]), {}, {}
+
+    def master(self, s, aggs, msg_total, graph, g):
+        return (s < 3, g)
+
+    def output(self, ctx, state):
+        tri = state["tri"]
+        if not self.with_coefficient:
+            return {"triangles": tri}
+        d = ctx.degrees("both").astype(np.float64)
+        denom = d * (d - 1)
+        return {"triangles": tri,
+                "coefficient": np.divide(2.0 * tri, denom, where=denom > 0,
+                                         out=np.zeros_like(denom))}
 
 
-def _pairs_in_segments(n: int, seg_starts: np.ndarray, seg_counts: np.ndarray):
-    """All (i, j) index pairs with i < j inside each contiguous segment of
-    a length-n array. Returns (first_idx, second_idx) global indices."""
-    local_i = np.arange(n, dtype=np.int64) - np.repeat(seg_starts, seg_counts)
-    first_counts = np.repeat(seg_counts, seg_counts) - 1 - local_i
-    total = int(first_counts.sum())
-    first_idx = np.repeat(np.arange(n, dtype=np.int64), first_counts)
-    pair_starts = np.r_[0, np.cumsum(first_counts)[:-1]]
-    offset = np.arange(total, dtype=np.int64) - np.repeat(pair_starts,
-                                                          first_counts)
-    second_idx = first_idx + 1 + offset
-    return first_idx, second_idx
-
-
-def triangle_count(graph: Graph, n_buckets: int | None = None,
-                   with_coefficient: bool = False):
+def triangle_count(graph: Graph, with_coefficient: bool = False):
     """-> Dataset(v_id, triangles[, coefficient]) covering all V vertices."""
-    graph.ensure_mode("both")
-    P, part_size, V, gdir = graph.P, graph.part_size, graph.V, graph.dir
-    B = n_buckets or max(P, 8)
-
-    # ---- stage 1: edges + deg_src (one task per partition, no shuffle) ----
-    refs = [_edges_with_src_deg.remote(gdir, part_size, V, p)
-            for p in range(P)]
-    e1 = ray.data.from_arrow_refs(refs)
-
-    def add_dst_part(batch: pa.Table) -> pa.Table:
-        dp = batch.column("dst").to_numpy() // part_size
-        return _strip_schema_meta(
-            batch.append_column("dst_part", pa.array(dp, type=pa.int64())))
-
-    # ---- stage 2a: attach deg_dst + orient (grouped by dst partition) -----
-    # (pyarrow group format throughout — the r3 pandas map_groups hops
-    # cost a block conversion + schema-metadata strip per stage in the
-    # hottest join pipeline, VERDICT r3 item 3)
-    def orient_group(t: pa.Table) -> pa.Table:
-        q = int(t.column("dst_part")[0].as_py())
-        deg_q = _part_degrees(gdir, part_size, V, q)
-        src = t.column("src").to_numpy()
-        dst = t.column("dst").to_numpy()
-        ds_ = t.column("deg_src").to_numpy()
-        dd = deg_q[dst - q * part_size]
-        fwd = (ds_ < dd) | ((ds_ == dd) & (src < dst))  # rank(src)<rank(dst)
-        return pa.table({
-            "src": pa.array(src[fwd]),
-            "dst": pa.array(dst[fwd]),
-            "deg_dst": pa.array(dd[fwd]),
-            "src_part": pa.array(src[fwd] // part_size)})
-
-    oriented = (e1.map_batches(add_dst_part, batch_format="pyarrow")
-                .groupby("dst_part")
-                .map_groups(orient_group, batch_format="pyarrow"))
-
-    # ---- stage 2b: wedges — ALL of a src's oriented out-edges together ----
-    def wedges_group(t: pa.Table) -> pa.Table:
-        src = t.column("src").to_numpy()
-        dst = t.column("dst").to_numpy()
-        dd = t.column("deg_dst").to_numpy()
-        # order each src segment by dst (deg, id) rank so each emitted
-        # pair (w1, w2) is itself rank-oriented like the edges
-        order = np.lexsort((dst, dd, src))
-        src, dst = src[order], dst[order]
-        if len(src):
-            starts = np.r_[0, np.flatnonzero(np.diff(src)) + 1]
-        else:
-            starts = np.zeros(0, dtype=np.int64)
-        counts = np.diff(np.r_[starts, len(src)]).astype(np.int64)
-        fi, si = _pairs_in_segments(len(src), starts, counts)
-        return pa.table({
-            "w1": pa.array(np.concatenate([dst[fi], src])),
-            "w2": pa.array(np.concatenate([dst[si], dst])),
-            "apex": pa.array(np.concatenate(
-                [src[fi], np.full(len(src), -1, dtype=np.int64)])),
-        })
-
-    wedges_and_edges = (oriented.groupby("src_part")
-                        .map_groups(wedges_group, batch_format="pyarrow"))
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        w1 = batch.column("w1").to_numpy()
-        w2 = batch.column("w2").to_numpy()
-        b = (hash_u64(w1, w2) % np.uint64(B)).astype(np.int64)
-        return _strip_schema_meta(
-            batch.append_column("bucket", pa.array(b, type=pa.int64())))
-
-    # ---- stage 3: bucket join, explode corners ----------------------------
-    # wedge-vs-edge membership via a sorted composite key instead of a
-    # pandas hash merge: oriented edges are unique per (w1, w2) (the
-    # canonical layout dedups), so one searchsorted answers every wedge.
-    # key = w1 * V + w2 needs V^2 < 2^63 (V < ~3.0e9 — beyond that,
-    # switch the composite to 128-bit pieces or a sort-merge on 2 keys).
-    if V >= 3_037_000_499:
+    # the composite key v*V + u needs V^2 < 2^63
+    if graph.V >= 3_037_000_499:
         raise NotImplementedError("triangle composite key needs V < 3.0e9")
-
-    def join_group(t: pa.Table) -> pa.Table:
-        apex = t.column("apex").to_numpy()
-        w1 = t.column("w1").to_numpy()
-        w2 = t.column("w2").to_numpy()
-        is_w = apex >= 0
-        key = w1 * np.int64(V) + w2
-        ekey = np.sort(key[~is_w])
-        wkey = key[is_w]
-        if len(ekey) == 0 or len(wkey) == 0:
-            return pa.table({"v": pa.array([], pa.int64()),
-                             "part": pa.array([], pa.int64())})
-        pos = np.searchsorted(ekey, wkey)
-        hit = (pos < len(ekey)) & (ekey[np.minimum(pos, len(ekey) - 1)]
-                                   == wkey)
-        v = np.concatenate([apex[is_w][hit], w1[is_w][hit], w2[is_w][hit]])
-        return pa.table({"v": pa.array(v),
-                         "part": pa.array(v // part_size)})
-
-    corners = (wedges_and_edges
-               .map_batches(add_bucket, batch_format="pyarrow")
-               .groupby("bucket")
-               .map_groups(join_group, batch_format="pyarrow"))
-
-    # ---- reduce: dense per-partition counts (seeds keep empty parts) ------
-    parts = [p for p in range(P) if p * part_size < V]
-    seeds = ray.data.from_arrow(pa.table({
-        "v": pa.array(np.full(len(parts), -1, dtype=np.int64)),
-        "part": pa.array(np.asarray(parts, dtype=np.int64))}))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        p = int(t.column("part")[0].as_py())
-        lo = p * part_size
-        size = min(V, lo + part_size) - lo
-        v = t.column("v").to_numpy()
-        v = v[v >= 0]
-        cnt = np.bincount(v - lo, minlength=size)
-        out = {"v_id": pa.array(np.arange(lo, lo + size, dtype=np.int64)),
-               "triangles": pa.array(cnt.astype(np.int64))}
-        if with_coefficient:
-            d = _part_degrees(gdir, part_size, V, p).astype(np.float64)
-            denom = d * (d - 1)
-            out["coefficient"] = pa.array(
-                np.where(denom > 0, 2.0 * cnt / denom, 0.0))
-        return pa.table(out)
-
-    return (corners.union(seeds)
-            .groupby("part")
-            .map_groups(finalize, batch_format="pyarrow"))
+    res = run_program(graph, TriangleProgram(with_coefficient),
+                      max_supersteps=4)
+    return res.to_dataset()
 
 
-def clustering_coefficient(graph: Graph, n_buckets: int | None = None):
+def clustering_coefficient(graph: Graph):
     """-> Dataset(v_id, triangles, coefficient)."""
-    return triangle_count(graph, n_buckets=n_buckets, with_coefficient=True)
+    return triangle_count(graph, with_coefficient=True)

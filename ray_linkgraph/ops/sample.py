@@ -31,7 +31,7 @@ def stratified_hash_sample(ds, rates: dict[str, int], seed: int,
         ids = batch.column(id_col).to_numpy().astype(np.uint64)
         h = (hash_u64(np.uint64(seed), ids)
              % np.uint64(SAMPLE_MOD)).astype(np.int64)
-        strata = batch.column(stratum_col).to_pandas().to_numpy()
+        strata = batch.column(stratum_col).to_numpy()
         thresh = np.zeros(len(batch), dtype=np.int64)
         for s, r in rate_items:
             thresh[strata == s] = r

@@ -184,7 +184,7 @@ def topk_per_group(ds, group_col: str, order_col: str, k: int,
         return np.invert(v) if v.dtype.kind in "iu" else -v
 
     def local_prune(t: pa.Table) -> pa.Table:
-        g = t.column(group_col).to_pandas().to_numpy()
+        g = t.column(group_col).to_numpy()
         v = t.column(order_col).to_numpy()
         i = t.column(id_col).to_numpy()
         order = np.lexsort((i, _order_key(v), g))

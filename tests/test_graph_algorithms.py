@@ -8,6 +8,7 @@ kernels)."""
 import os
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
@@ -184,14 +185,101 @@ def test_triangle_count_exact(built):
         assert exp[url2id[urls[i]]] >= 10
 
 
-def test_clustering_coefficient(built):
-    g, _, _, edges = built
-    res = clustering_coefficient(g).to_pandas().sort_values("v_id")
-    tri = naive_ref.naive_triangles(g.V, adj_both(g.V, edges))
-    deg = np.array([len(a) for a in adj_both(g.V, edges)], dtype=np.float64)
+def _naive_tri_coef(g):
+    und = adj_both(g.V, load_edges(g, "out"))
+    tri = naive_ref.naive_triangles(g.V, und)
+    deg = np.array([len(a) for a in und], dtype=np.float64)
     denom = deg * (deg - 1)
-    exp = np.where(denom > 0, 2.0 * tri / denom, 0.0)
-    assert np.allclose(res["coefficient"].to_numpy(), exp, atol=0)
+    return tri, np.where(denom > 0, 2.0 * tri / denom, 0.0), deg
+
+
+def test_clustering_coefficient(built):
+    res = clustering_coefficient(built[0]).to_pandas().sort_values("v_id")
+    tri, coef, _ = _naive_tri_coef(built[0])
+    assert (res["triangles"].to_numpy() == tri).all()
+    assert np.allclose(res["coefficient"].to_numpy(), coef, atol=0)
+
+
+def _str_graph(edges, path, n_parts, isolated=()):
+    t = pa.table({"src": [a for a, _ in edges], "dst": [b for _, b in edges]})
+    extra = rd.from_arrow(pa.table({"url": list(isolated)})) if isolated \
+        else None
+    return build_graph(rd.from_arrow(t), path, n_parts=n_parts,
+                       extra_url_ds=extra)
+
+
+@pytest.mark.parametrize("n_parts,relay", [(1, False), (3, False),
+                                           (4, False), (4, True)])
+def test_triangle_exchange_matrix(work_dir, monkeypatch, n_parts, relay):
+    """Triangle counts are exact at every partitioning and over both 1D
+    exchanges (direct and pod relay). The isolated vertices sort last
+    (ids are length-first), so at P >= 3 the top partition holds only
+    isolated vertices and receives no message in any superstep: the
+    empty-inbox path of every step runs."""
+    from ray_linkgraph import engine
+    rng = np.random.default_rng(7)
+    names = [f"v{i:02d}" for i in range(60)]
+    edges = {(names[a], names[b]) for a, b in rng.integers(0, 60, (240, 2))
+             if a != b}
+    edges |= {(names[a], names[b]) for a in range(5) for b in range(a)}
+    g = _str_graph(sorted(edges), os.path.join(work_dir, f"tri_x{n_parts}"),
+                   n_parts, isolated=[f"iso_{i:02d}" for i in range(60)])
+    if relay:
+        monkeypatch.setattr(engine, "RELAY_MIN_P", 2)
+    tri, _, deg = _naive_tri_coef(g)
+    if n_parts >= 3:
+        assert not deg[(n_parts - 1) * g.part_size:].any()
+    res = triangle_count(g).to_pandas().sort_values("v_id")
+    assert len(res) == g.V and tri.sum() >= 30
+    assert (res["triangles"].to_numpy() == tri).all()
+
+
+def _step1(g, part):
+    """TriangleProgram's supersteps 0 and 1 for partition ``part``, run
+    in this process on PartCtx views: (state after step 1, step-1 dst,
+    step-1 payload)."""
+    from ray_linkgraph.algorithms.triangle import TriangleProgram
+    from ray_linkgraph.engine import Inbox, PartCtx, precombine
+    prog = TriangleProgram()
+    ctxs = [PartCtx(g.dir, g.meta, p) for p in range(g.P)]
+    ctx = ctxs[part]
+    parts = []
+    for c in ctxs:
+        dst, pay, _ = prog.compute0(c, prog.init(c, {}), {})
+        m = dst // g.part_size == part
+        parts.append(precombine("concat", dst[m] - ctx.lo,
+                                {k: v[m] for k, v in pay.items()}))
+    state = prog.init(ctx, {})
+    dst, pay, _ = prog.compute(ctx, state,
+                               Inbox("concat", ctx.size, parts), {}, 1)
+    return state, dst, pay
+
+
+def test_triangle_hub_fixture(work_dir):
+    """A star whose hub has 320 leaves, a 6-clique containing the hub, a
+    few leaf-leaf edges and isolated vertices: triangles and
+    coefficients exact at P=3, and the hub, ranked top by degree, has an
+    empty N+ and ships no list."""
+    leaves = [f"leaf{i:03d}" for i in range(320)]
+    edges = [("hub", x) for x in leaves]
+    clique = ["hub"] + leaves[:5]
+    edges += [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]
+              if a != "hub"]
+    edges += [(leaves[10], leaves[11]), (leaves[11], leaves[12]),
+              (leaves[10], leaves[12]), (leaves[20], leaves[21])]
+    g = _str_graph(edges, os.path.join(work_dir, "tri_hub"), 3,
+                   isolated=["isoA", "isoB", "isoC"])
+    tri, coef, deg = _naive_tri_coef(g)
+    res = clustering_coefficient(g).to_pandas().sort_values("v_id")
+    assert (res["triangles"].to_numpy() == tri).all()
+    assert np.allclose(res["coefficient"].to_numpy(), coef, atol=0)
+    hub = int(np.argmax(deg))
+    assert deg[hub] == 320 and tri[hub] == 10 + 3 + 1
+    state, _, pay = _step1(g, hub // g.part_size)
+    assert not (state["nplus"] // g.V == hub).any()
+    assert hub not in pay["apex"]
+    # the clique's other members do ship lists
+    assert sum(len(_step1(g, p)[2]["apex"]) for p in range(g.P)) > 0
 
 
 def test_ppr(built):
@@ -261,7 +349,7 @@ def test_hub_skew_path(work_dir):
     comp = wcc(g).to_arrow().to_pandas().sort_values("v_id")["component"]
     assert (comp.to_numpy() == naive_ref.naive_wcc(g.V,
                                                    adj_both(g.V, E))).all()
-    # per-vertex triangles exact through the degree-oriented join path
+    # per-vertex triangles exact through the degree-oriented program
     tri = triangle_count(g).to_pandas().sort_values("v_id")
     exp = naive_ref.naive_triangles(g.V, adj_both(g.V, E))
     assert (tri["triangles"].to_numpy() == exp).all()
