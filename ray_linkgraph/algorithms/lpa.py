@@ -17,6 +17,11 @@ Isolated vertices keep their own id (they never receive). Multi-edges
 were deduped at graph build, so each neighbor contributes one vote, and
 min-label ties resolve in int64 order == reference BytesId order (see
 graph.py dictionary ordering).
+
+Labels must be vertex ids in [0, V): the combiner counts votes on the
+int64 key ``dst_local * L + label`` (L = max label + 1 <= V), so the
+engine refuses a graph with part_size * V >= 2**63, i.e. V above about
+3.0e9 * sqrt(P) (``engine.check_label_key``).
 """
 
 from __future__ import annotations

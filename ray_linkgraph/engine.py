@@ -21,14 +21,16 @@ MasterService.java:240-288) with Ray-native machinery:
   barrier; no etcd);
 * the exchange is the one thing that varies, chosen once per engine
   from P and ``program.grid``:
-  - direct 1D: each actor pre-combines its messages per destination
-    partition (sort + reduceat, the analog of the reference's
-    sort-with-combiner send buffers, computer-core/.../sender/
+  - direct 1D: each actor splits its messages by destination partition
+    (a stable radix sort of the small partition index, so every slice
+    keeps emission order), pre-combines each slice with one sort by
+    dst (``precombine``, the analog of the reference's sort-with-
+    combiner send buffers, computer-core/.../sender/
     MessageSendManager.java:99-239) and ships one object per
-    (src-part, dst-part) pair; the receiver finishes the combine.
-    Pre-combining per source partition is the skew treatment for hub
-    dst vertices: a vertex with 10^6 in-edges receives at most P
-    pre-combined values, not 10^6 messages;
+    (src-part, dst-part) pair; the receiver finishes the combine
+    (``Inbox``). Pre-combining per source partition is the skew
+    treatment for hub dst vertices: a vertex with 10^6 in-edges
+    receives at most P pre-combined values, not 10^6 messages;
   - pod relay (1D, P >= ``RELAY_MIN_P``): the same payloads grouped per
     pod of ~sqrt(P) partitions and regrouped by one relay task per pod,
     O(P^1.5) object refs per superstep instead of O(P^2);
@@ -174,35 +176,51 @@ def _col_concat(cols: list):
             else np.concatenate(cols))
 
 
+def _label_votes(d: np.ndarray, lab: np.ndarray, cnt=None):
+    """Distinct (dst, label) pairs with their vote counts, sorted by dst
+    then label: one sort of the composite key ``d * L + lab`` (``L`` =
+    max label + 1; labels are in [0, V), so the key stays below
+    ``part_size * V``, which ``check_label_key`` bounds). ``cnt`` = the
+    count of each input pair (None: one vote each)."""
+    L = int(lab.max()) + 1
+    key = d.astype(np.int64) * L + lab
+    if cnt is None:
+        key = np.sort(key)
+        starts = _runs(key)
+        c = np.diff(np.r_[starts, len(key)])
+    else:
+        order = np.argsort(key)
+        key = key[order]
+        starts = _runs(key)
+        c = np.add.reduceat(cnt[order], starts)
+    uk = key[starts]
+    return (uk // L).astype(d.dtype), uk % L, c
+
+
+def check_label_key(meta: dict):
+    """The ``label_count`` vote key ``dst_local * L + label`` must fit an
+    int64: part_size * V < 2**63, i.e. V below about 3.0e9 * sqrt(P)."""
+    if meta["part_size"] * meta["V"] >= 2**63:
+        raise ValueError(
+            f"label_count needs part_size * V < 2**63 (V below about "
+            f"3.0e9 * sqrt(P)); got part_size={meta['part_size']}, "
+            f"V={meta['V']}")
+
+
 def precombine(kind: str, dst_local: np.ndarray, payload: dict):
-    """Combine duplicate dst keys before shipping. ``dst_local`` must be
-    sorted ascending already (the router sorts by global dst)."""
+    """Combine duplicate dst keys before shipping. ``dst_local`` and the
+    payload arrive in emission order (the router only buckets them by
+    destination partition, stably) and this function does the one sort:
+    ``sum``, ``overwrite`` and ``concat`` sort stably, so each dst's
+    values keep emission order (float sums, the overwrite pick and the
+    concat rows equal those of one global stable sort by dst); ``min``,
+    ``max``, ``kv_min`` and ``label_count`` cannot depend on order and
+    sort unstably (``kv_min`` and ``label_count`` on keys that fix the
+    output order)."""
     if len(dst_local) == 0:
         return None
-    if kind == "sum":
-        starts = _runs(dst_local)
-        return (dst_local[starts], np.add.reduceat(payload["val"], starts))
-    if kind == "min":
-        starts = _runs(dst_local)
-        return (dst_local[starts], np.minimum.reduceat(payload["val"], starts))
-    if kind == "max":
-        # ValueMaxCombiner (computer-api/.../combiner/ValueMaxCombiner.java)
-        starts = _runs(dst_local)
-        return (dst_local[starts], np.maximum.reduceat(payload["val"], starts))
-    if kind == "overwrite":
-        # OverwriteCombiner (computer-api/.../combiner/OverwriteCombiner.java)
-        # keeps one value per key; the reference's pick is processing-order
-        # dependent — ours is deterministically the FIRST emitted value
-        # (router sort is stable, partitions merge in fixed order)
-        starts = _runs(dst_local)
-        return (dst_local[starts], payload["val"][starts])
     if kind == "label_count":
-        lab = payload["label"]
-        order = np.lexsort((lab, dst_local))
-        d, l = dst_local[order], lab[order]
-        change = np.r_[0, np.flatnonzero((np.diff(d) != 0) | (np.diff(l) != 0)) + 1]
-        cnt = np.diff(np.r_[change, len(d)]).astype(np.int64)
-        return (d[change], l[change], cnt)
+        return _label_votes(dst_local, payload["label"])
     if kind == "kv_min":
         # min val per (dst, key); ties -> min sender (deterministic
         # stand-in for the reference's processing-order tie, provably
@@ -213,13 +231,40 @@ def precombine(kind: str, dst_local: np.ndarray, payload: dict):
         first = np.r_[0, np.flatnonzero((np.diff(d2) != 0) |
                                         (np.diff(k2) != 0)) + 1]
         return (d2[first], k2[first], v2[first], s2[first])
+    if kind not in ("sum", "min", "max", "overwrite", "concat"):
+        raise ValueError(kind)
+    order = np.argsort(dst_local,
+                       kind=None if kind in ("min", "max") else "stable")
+    d = dst_local[order]
     if kind == "concat":
-        return (dst_local,) + tuple(payload[k] for k in sorted(payload))
-    raise ValueError(kind)
+        return (d,) + tuple(payload[k][order] for k in sorted(payload))
+    v = payload["val"][order]
+    starts = _runs(d)
+    if kind == "sum":
+        return (d[starts], np.add.reduceat(v, starts))
+    if kind == "min":
+        return (d[starts], np.minimum.reduceat(v, starts))
+    if kind == "max":
+        # ValueMaxCombiner (computer-api/.../combiner/ValueMaxCombiner.java)
+        return (d[starts], np.maximum.reduceat(v, starts))
+    # overwrite: OverwriteCombiner (computer-api/.../combiner/
+    # OverwriteCombiner.java) keeps one value per key; the reference's
+    # pick is processing-order dependent — ours is deterministically the
+    # FIRST emitted value (stable sort, partitions merge in fixed order)
+    return (d[starts], v[starts])
 
 
 class Inbox:
     """Receive-side combined view of one partition's incoming messages.
+
+    The parts arrive in sender-partition order, each sorted by dst. What
+    needs order keeps it: ``concat`` rows and the ``overwrite`` pick
+    (first emitted, one stable sort) equal those of one global stable
+    sort by dst. ``min``/``max`` scatter into the dense array
+    (``ufunc.at``, no sort); ``label_count`` sorts one composite
+    (dst, label) key, sums the counts per pair and takes, per dst, the
+    first maximum count, which is the min label (labels ascend within a
+    dst); ``kv_min`` sorts on its full key, so no order leaks through.
 
     Sum inboxes come in two wire formats chosen by the sender per
     (src-part, dst-part) pair: sparse ``(dst_local, values)`` when few
@@ -257,76 +302,64 @@ class Inbox:
                 self._sparse_d = np.zeros(0, dtype=np.int64)
             self._has_dense = bool(dense_parts)
             self.sum = acc
-        elif kind == "min":
-            if parts:
-                d = np.concatenate([p[0] for p in parts])
-                v = np.concatenate([p[1] for p in parts])
-                self.n_msgs = len(d)
-                order = np.argsort(d, kind="stable")
-                d, v = d[order], v[order]
-                starts = _runs(d)
-                ud, mv = d[starts], np.minimum.reduceat(v, starts)
+        elif kind in ("min", "max"):
+            # scatter straight into the dense array: min/max need no order
+            d = (np.concatenate([p[0] for p in parts]) if parts
+                 else np.zeros(0, dtype=np.int64))
+            v = (np.concatenate([p[1] for p in parts]) if parts
+                 else np.zeros(0, dtype=np.float64))
+            self.n_msgs = len(d)
+            if np.issubdtype(v.dtype, np.integer):
+                info = np.iinfo(v.dtype)
+                fill = info.max if kind == "min" else info.min
             else:
-                ud = np.zeros(0, dtype=np.int64)
-                mv = np.zeros(0, dtype=np.float64)
-            if np.issubdtype(mv.dtype, np.integer):
-                dense = np.full(size, np.iinfo(mv.dtype).max, dtype=mv.dtype)
-            else:
-                dense = np.full(size, np.inf, dtype=mv.dtype)
-            dense[ud] = mv
+                fill = np.inf if kind == "min" else -np.inf
+            dense = np.full(size, fill, dtype=v.dtype)
+            (np.minimum if kind == "min" else np.maximum).at(dense, d, v)
             self._mask = np.zeros(size, dtype=bool)
-            self._mask[ud] = True
-            self.min = dense
-        elif kind in ("max", "overwrite"):
-            if parts:
-                d = np.concatenate([p[0] for p in parts])
-                v = np.concatenate([p[1] for p in parts])
-                self.n_msgs = len(d)
-                order = np.argsort(d, kind="stable")
-                d, v = d[order], v[order]
-                starts = _runs(d)
-                ud = d[starts]
-                mv = (np.maximum.reduceat(v, starts) if kind == "max"
-                      else v[starts])        # overwrite: first emitted
-            else:
-                ud = np.zeros(0, dtype=np.int64)
-                mv = np.zeros(0, dtype=np.float64)
-            if np.issubdtype(mv.dtype, np.integer):
-                fill = (np.iinfo(mv.dtype).min if kind == "max" else 0)
-                dense = np.full(size, fill, dtype=mv.dtype)
-            else:
-                dense = np.full(size, -np.inf if kind == "max" else 0.0,
-                                dtype=mv.dtype)
-            dense[ud] = mv
-            self._mask = np.zeros(size, dtype=bool)
-            self._mask[ud] = True
+            self._mask[d] = True
             setattr(self, kind, dense)
-            self.val = dense
+            if kind == "max":
+                self.val = dense
+        elif kind == "overwrite":
+            if parts:
+                d = np.concatenate([p[0] for p in parts])
+                v = np.concatenate([p[1] for p in parts])
+                self.n_msgs = len(d)
+                order = np.argsort(d, kind="stable")
+                d, v = d[order], v[order]
+                starts = _runs(d)
+                ud, mv = d[starts], v[starts]    # first emitted
+            else:
+                ud = np.zeros(0, dtype=np.int64)
+                mv = np.zeros(0, dtype=np.float64)
+            dense = np.zeros(size, dtype=mv.dtype)
+            dense[ud] = mv
+            self._mask = np.zeros(size, dtype=bool)
+            self._mask[ud] = True
+            self.overwrite = self.val = dense
         elif kind == "label_count":
             if parts:
-                d = np.concatenate([p[0] for p in parts])
-                l = np.concatenate([p[1] for p in parts])
-                c = np.concatenate([p[2] for p in parts])
-                self.n_msgs = int(c.sum())
-                order = np.lexsort((l, d))
-                d, l, c = d[order], l[order], c[order]
-                change = np.r_[0, np.flatnonzero((np.diff(d) != 0) |
-                                                 (np.diff(l) != 0)) + 1]
-                d2, l2 = d[change], l[change]
-                c2 = np.add.reduceat(c, change)
+                d2, l2, c2 = _label_votes(
+                    np.concatenate([p[0] for p in parts]),
+                    np.concatenate([p[1] for p in parts]),
+                    np.concatenate([p[2] for p in parts]))
+                self.n_msgs = int(c2.sum())
                 # winner per dst: max count, tie -> min label (reference
                 # Lpa.voteLabel, Lpa.java:66-101; Id order == int64 order
-                # by dictionary construction)
-                worder = np.lexsort((l2, -c2, d2))
-                dw, lw = d2[worder], l2[worder]
-                first = _runs(dw)
-                self.win_dst, self.win_label = dw[first], lw[first]
-                self._mask = np.zeros(size, dtype=bool)
-                self._mask[self.win_dst] = True
+                # by dictionary construction). Labels ascend within a
+                # dst, so the first maximum of its run is the min label.
+                runs = _runs(d2)
+                top = np.maximum.reduceat(c2, runs)
+                hit = np.flatnonzero(
+                    c2 == np.repeat(top, np.diff(np.r_[runs, len(d2)])))
+                first = hit[_runs(d2[hit])]
+                self.win_dst, self.win_label = d2[first], l2[first]
             else:
                 self.win_dst = np.zeros(0, dtype=np.int64)
                 self.win_label = np.zeros(0, dtype=np.int64)
-                self._mask = np.zeros(size, dtype=bool)
+            self._mask = np.zeros(size, dtype=bool)
+            self._mask[self.win_dst] = True
         elif kind == "kv_min":
             if parts:
                 d = np.concatenate([p[0] for p in parts])
@@ -617,6 +650,7 @@ class PartitionWorker:
         self.ctx = PartCtx(graph_dir, meta, part_id)
         self.P = meta["P"]
         self._local_dtype = np.int32 if meta["part_size"] < 2**31 else np.int64
+        self._part_dtype = np.int16 if self.P < 2**15 else np.int32
         self._ck_thread = None     # in-flight async checkpoint write
         self._ck_done = None       # completed write info awaiting pickup
         self._ck_error = None      # exception of a failed write
@@ -673,7 +707,10 @@ class PartitionWorker:
 
     def _route(self, dst_global, payload):
         """Split outgoing messages by destination partition, pre-combining
-        each slice. Returns P objects (or None) + sent count."""
+        each slice. Returns P objects (or None) + sent count. The split
+        is a stable sort of the small partition index (a radix sort for
+        int16), so each slice reaches ``precombine`` in emission order
+        and ``precombine`` does the one sort by dst."""
         # name-based check: with cloudpickle by-value registration
         # (__ray_entry__) the actor's EdgeScatter class object can be a
         # distinct copy from the program module's, so isinstance fails
@@ -682,31 +719,30 @@ class PartitionWorker:
         outs = [None] * self.P
         if dst_global is None or len(dst_global) == 0:
             return outs, 0
-        order = np.argsort(dst_global, kind="stable")
-        d = dst_global[order]
-        pay = {k: v[order] for k, v in payload.items()}
-        bounds = np.searchsorted(
-            d, np.arange(1, self.P + 1, dtype=np.int64) * self.ctx.part_size,
-            side="left")
-        starts = np.r_[0, bounds[:-1]]
-        for q in range(self.P):
-            a, b = int(starts[q]), int(bounds[q])
-            if b <= a:
-                continue
-            dl = (d[a:b] - q * self.ctx.part_size).astype(self._local_dtype)
-            outs[q] = precombine(self.program.combiner, dl,
-                                 {k: v[a:b] for k, v in pay.items()})
-        return outs, int(len(d))
+        ps = self.ctx.part_size
+        q = (dst_global // ps).astype(self._part_dtype)
+        order = np.argsort(q, kind="stable")
+        ends = np.cumsum(np.bincount(q, minlength=self.P))
+        a = 0
+        for p, b in enumerate(ends.tolist()):
+            if b > a:
+                idx = order[a:b]
+                dl = (dst_global[idx] - p * ps).astype(self._local_dtype)
+                outs[p] = precombine(self.program.combiner, dl,
+                                     {k: v[idx] for k, v in payload.items()})
+            a = b
+        return outs, int(len(dst_global))
 
     # -- superstep ----------------------------------------------------------
     @staticmethod
     def _unwrap_inbox(inbox_parts) -> list:
         """Relay-mode inboxes arrive as ONE ``("RELAY", [parts...])``
-        bundle per actor (direct mode: P raw parts; grid: R dense
-        pieces)."""
+        bundle per actor (direct mode: P raw parts, at P=1 one part whose
+        first field is an array; grid: R dense pieces)."""
         parts = list(inbox_parts)
         if (len(parts) == 1 and type(parts[0]) is tuple
-                and len(parts[0]) == 2 and parts[0][0] == "RELAY"):
+                and len(parts[0]) == 2 and type(parts[0][0]) is str
+                and parts[0][0] == "RELAY"):
             return list(parts[0][1])
         return parts
 
@@ -931,6 +967,8 @@ class BSPEngine:
         self.ckpt_dir = checkpoint_dir
         self.ckpt_every = max(0, checkpoint_every)
         self._pending = {}   # ckpt step -> manifest data awaiting durability
+        if program.combiner == "label_count":
+            check_label_key(graph.meta)
         P = graph.P
         # the exchange, fixed for the engine's life: 2D grid for dense
         # EdgeScatter programs, else direct 1D or (large P) pod relay
@@ -1171,7 +1209,12 @@ class BSPEngine:
                 "actor_ckpt_s": max(m["ckpt_s"] for m in metas),
                 "actor_route_s": max(m["route_s"] for m in xmetas),
                 "actor_wall_max_s": max(m["wall_s"] for m in metas),
+                "actor_wall_median_s": float(np.median(
+                    [m["wall_s"] for m in metas])),
                 "actor_wall_sum_s": sum(m["wall_s"] for m in metas),
+                "msgs_in_max": max(m["msgs_in"] for m in metas),
+                "msgs_in_median": float(np.median(
+                    [m["msgs_in"] for m in metas])),
             })
             if do_ckpt:
                 self._stash_pending(s, g, aggs, metas, wall, done)

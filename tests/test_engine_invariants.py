@@ -342,3 +342,174 @@ def test_actor_pool_cache_invalidated_on_rebuild(work_dir):
     assert not np.allclose(r1, r2)   # genuinely computed on new edges
     exp = _ranks(pagerank(Graph.load(d), l1_threshold=0.0, max_supersteps=6))
     assert np.array_equal(r2, exp)
+
+
+# -- the 1D exchange kernels: route -> precombine -> Inbox ------------------
+
+_KINDS = ("sum", "min", "max", "overwrite", "label_count", "kv_min",
+          "concat")
+
+
+@st.composite
+def _exchanges(draw):
+    """(meta, combiner, dst_local dtype, messages): each message is
+    (sender, dst, val, label, key, ids), dealt to a random sender
+    partition. Small ranges make repeated dsts, repeated (dst, label)
+    pairs across senders and tied vote counts common; up to 400 messages
+    give sender slices past the size where numpy's unstable sort stops
+    being an insertion sort, so a lost emission order shows."""
+    P = draw(st.integers(1, 5))
+    V = draw(st.integers(P, 30))
+    kind = draw(st.sampled_from(_KINDS))
+    ldtype = draw(st.sampled_from([np.int32, np.int64]))
+    n = draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = (rng.normal(0, 1e3, n) if kind == "sum"
+            else rng.integers(-3, 4, n)).tolist()
+    labels = rng.choice([0, 1, V // 2, V - 1], n).tolist()
+    ids = [rng.integers(0, 10**12, k).tolist()
+           for k in rng.integers(0, 4, n)]
+    msgs = list(zip(rng.integers(0, P, n).tolist(),
+                    rng.integers(0, V, n).tolist(), vals, labels,
+                    rng.integers(0, 3, n).tolist(), ids))
+    meta = {"V": V, "P": P, "part_size": -(-V // P)}
+    return meta, kind, ldtype, msgs
+
+
+def _sender_payload(kind, ms, vdtype):
+    vals = np.array([m[2] for m in ms], dtype=vdtype)
+    if kind == "label_count":
+        return {"label": np.array([m[3] for m in ms], dtype=np.int64)}
+    if kind == "kv_min":
+        return {"key": np.array([m[4] for m in ms], dtype=np.int64),
+                "val": vals.astype(np.float64),
+                "sender": np.array([m[2] for m in ms], dtype=np.int64)}
+    if kind == "concat":
+        return {"val": vals, "ids": RaggedCol.from_lists([m[5] for m in ms])}
+    return {"val": vals}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exchanges(), st.booleans(), st.booleans())
+def test_exchange_kernels_match_plain_reference(ex, int_vals, empty_part):
+    """Every 1D combiner, through ``PartitionWorker._route``, ``precombine``
+    and ``Inbox``, equals a plain-Python combine of the same messages. The
+    order-sensitive combiners (sum, overwrite, concat) are byte-equal to
+    a reference that stable-sorts each sender's messages by global dst."""
+    from types import SimpleNamespace
+    from ray_linkgraph.engine import Inbox, PartitionWorker
+    meta, kind, ldtype, msgs = ex
+    P, ps = meta["P"], meta["part_size"]
+    vdtype = (np.int64 if int_vals and kind in ("min", "max", "overwrite")
+              else np.float64)
+    sent = [[m for m in msgs if m[0] == p] for p in range(P)]
+    outs = []
+    for p in range(P):
+        w = PartitionWorker("unused", meta, p)
+        w.program = SimpleNamespace(combiner=kind)
+        w._local_dtype = ldtype
+        dst = np.array([m[1] for m in sent[p]], dtype=np.int64)
+        o, n = w._route(dst, _sender_payload(kind, sent[p], vdtype))
+        assert n == len(sent[p]) and len(o) == P
+        outs.append(o)
+    for q in range(P):
+        lo, size = q * ps, max(0, min(meta["V"], (q + 1) * ps) - q * ps)
+        parts = [outs[p][q] for p in range(P)]
+        for part in parts:
+            assert part is None or part[0].dtype == ldtype
+        if empty_part:
+            parts.insert(len(parts) // 2, (np.zeros(0, dtype=ldtype),))
+        ib = Inbox(kind, size, parts)
+        # each sender's messages to q in emission order, senders in order
+        mine = [[m for m in sent[p] if lo <= m[1] < lo + size]
+                for p in range(P)]
+        flat = [m for ms in mine for m in ms]
+        got_dsts = sorted({m[1] - lo for m in flat})
+        assert np.flatnonzero(ib.mask).tolist() == got_dsts
+        if kind == "concat":
+            # stable sort by dst per sender == one global stable sort
+            rows = [m for ms in mine for m in sorted(ms, key=lambda m: m[1])]
+            assert ib.n_msgs == len(rows)
+            assert ib.dst.tolist() == [m[1] - lo for m in rows]
+            if not rows:                   # nothing received: no columns
+                assert ib.cols == []
+                continue
+            ids, vals = ib.cols
+            assert [ids.flat[ids.offsets[i]:ids.offsets[i + 1]].tolist()
+                    for i in range(len(ids))] == [m[5] for m in rows]
+            assert vals.tobytes() == np.array(
+                [m[2] for m in rows], dtype=vdtype).tobytes()
+        elif kind == "label_count":
+            votes = {}
+            for m in flat:
+                votes.setdefault(m[1] - lo, {}).setdefault(m[3], 0)
+                votes[m[1] - lo][m[3]] += 1
+            win = {d: min(c, key=lambda lab: (-c[lab], lab))
+                   for d, c in votes.items()}
+            assert ib.n_msgs == len(flat)
+            assert ib.win_dst.tolist() == sorted(win)
+            assert ib.win_label.tolist() == [win[d] for d in sorted(win)]
+        elif kind == "kv_min":
+            best = {}
+            for m in flat:
+                k = (m[1] - lo, m[4])
+                best[k] = min(best.get(k, (np.inf, 0)), (float(m[2]), m[2]))
+            keys = sorted(best)
+            assert ib.dst.tolist() == [k[0] for k in keys]
+            assert ib.key.tolist() == [k[1] for k in keys]
+            assert ib.val.tolist() == [best[k][0] for k in keys]
+            assert ib.sender.tolist() == [best[k][1] for k in keys]
+        elif kind == "sum":
+            # per sender: the global stable sort by dst, then reduceat
+            ref = np.zeros(size, dtype=np.float64)
+            for ms in mine:
+                if not ms:
+                    continue
+                d = np.array([m[1] for m in ms], dtype=np.int64)
+                v = np.array([m[2] for m in ms], dtype=np.float64)
+                order = np.argsort(d, kind="stable")
+                d, v = d[order], v[order]
+                starts = np.r_[0, np.flatnonzero(np.diff(d)) + 1]
+                ref += np.bincount(d[starts] - lo,
+                                   weights=np.add.reduceat(v, starts),
+                                   minlength=size)
+            assert ib.sum.tobytes() == ref.tobytes()
+            plain = [sum(m[2] for m in flat if m[1] - lo == i)
+                     for i in range(size)]
+            assert np.allclose(ib.sum, plain, rtol=1e-9, atol=1e-3)
+            assert ib.n_msgs == len({(m[0], m[1]) for m in flat})
+        else:
+            pick = {}
+            for m in flat:
+                d = m[1] - lo
+                if kind == "overwrite":
+                    pick.setdefault(d, m[2])        # first emitted
+                else:
+                    pick[d] = (min if kind == "min" else max)(
+                        pick.get(d, m[2]), m[2])
+            arr = getattr(ib, kind)
+            # an empty inbox has no value dtype to keep: float64
+            vt = vdtype if flat else np.float64
+            assert arr.dtype == vt
+            ints = np.issubdtype(vt, np.integer)
+            fill = {"overwrite": 0,
+                    "min": np.iinfo(vt).max if ints else np.inf,
+                    "max": np.iinfo(vt).min if ints else -np.inf}
+            exp = np.array([pick.get(i, fill[kind]) for i in range(size)],
+                           dtype=vt)
+            assert arr.tobytes() == exp.tobytes()
+            assert ib.n_msgs == len({(m[0], m[1]) for m in flat})
+
+
+def test_label_key_guard():
+    """LPA's vote key dst_local * L + label needs part_size * V < 2**63;
+    an engine for a graph past it refuses before starting any actor."""
+    from types import SimpleNamespace
+    from ray_linkgraph.algorithms import LpaProgram
+    from ray_linkgraph.engine import BSPEngine, check_label_key
+    check_label_key({"V": 3 * 10**9, "part_size": 3 * 10**9})
+    big = {"V": 2**34, "P": 4, "part_size": 2**32}
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        check_label_key(big)
+    with pytest.raises(ValueError, match=r"part_size \* V"):
+        BSPEngine(SimpleNamespace(meta=big, P=4), LpaProgram())

@@ -208,30 +208,79 @@ def _str_graph(edges, path, n_parts, isolated=()):
                        extra_url_ds=extra)
 
 
-@pytest.mark.parametrize("n_parts,relay", [(1, False), (3, False),
-                                           (4, False), (4, True)])
-def test_triangle_exchange_matrix(work_dir, monkeypatch, n_parts, relay):
+@pytest.fixture(scope="module")
+def exchange_graph(work_dir):
+    """The exchange-matrix graph at a given P, built once per P: 60
+    random-edge vertices plus a 5-clique, and 60 isolated vertices that
+    sort last (ids are length-first), so at P >= 3 the top partition
+    holds only isolated vertices and receives no message in any
+    superstep: the empty-inbox path of every step runs."""
+    graphs = {}
+
+    def get(n_parts):
+        if n_parts not in graphs:
+            rng = np.random.default_rng(7)
+            names = [f"v{i:02d}" for i in range(60)]
+            edges = {(names[a], names[b])
+                     for a, b in rng.integers(0, 60, (240, 2)) if a != b}
+            edges |= {(names[a], names[b]) for a in range(5)
+                      for b in range(a)}
+            g = _str_graph(sorted(edges),
+                           os.path.join(work_dir, f"tri_x{n_parts}"),
+                           n_parts,
+                           isolated=[f"iso_{i:02d}" for i in range(60)])
+            if n_parts >= 3:
+                assert not _naive_tri_coef(g)[2][
+                    (n_parts - 1) * g.part_size:].any()
+            graphs[n_parts] = g
+        return graphs[n_parts]
+    return get
+
+
+EXCHANGES = pytest.mark.parametrize(
+    "n_parts,relay", [(1, False), (3, False), (4, False), (4, True)])
+
+
+@EXCHANGES
+def test_triangle_exchange_matrix(exchange_graph, monkeypatch, n_parts,
+                                  relay):
     """Triangle counts are exact at every partitioning and over both 1D
-    exchanges (direct and pod relay). The isolated vertices sort last
-    (ids are length-first), so at P >= 3 the top partition holds only
-    isolated vertices and receives no message in any superstep: the
-    empty-inbox path of every step runs."""
+    exchanges (direct and pod relay)."""
     from ray_linkgraph import engine
-    rng = np.random.default_rng(7)
-    names = [f"v{i:02d}" for i in range(60)]
-    edges = {(names[a], names[b]) for a, b in rng.integers(0, 60, (240, 2))
-             if a != b}
-    edges |= {(names[a], names[b]) for a in range(5) for b in range(a)}
-    g = _str_graph(sorted(edges), os.path.join(work_dir, f"tri_x{n_parts}"),
-                   n_parts, isolated=[f"iso_{i:02d}" for i in range(60)])
+    g = exchange_graph(n_parts)
     if relay:
         monkeypatch.setattr(engine, "RELAY_MIN_P", 2)
-    tri, _, deg = _naive_tri_coef(g)
-    if n_parts >= 3:
-        assert not deg[(n_parts - 1) * g.part_size:].any()
+    tri, _, _ = _naive_tri_coef(g)
     res = triangle_count(g).to_pandas().sort_values("v_id")
     assert len(res) == g.V and tri.sum() >= 30
     assert (res["triangles"].to_numpy() == tri).all()
+
+
+@EXCHANGES
+def test_1d_combiner_exchange_matrix(exchange_graph, monkeypatch, n_parts,
+                                     relay):
+    """The label_count (LPA) and min (WCC, SSSP) combiners are exact at
+    every partitioning and over both 1D exchanges."""
+    from ray_linkgraph import engine
+    g = exchange_graph(n_parts)
+    if relay:
+        monkeypatch.setattr(engine, "RELAY_MIN_P", 2)
+    E = load_edges(g, "out")
+    und = adj_both(g.V, E)
+    for steps in (3, 10):
+        lab = lpa(g, max_supersteps=steps).to_arrow().to_pandas() \
+            .sort_values("v_id")["label"].to_numpy()
+        assert (lab == naive_ref.naive_lpa(g.V, und,
+                                           rounds=steps - 1)).all()
+        if steps == 3:                 # votes still split after 2 rounds
+            assert len(set(lab[:60])) >= 2
+    comp = wcc(g).to_arrow().to_pandas().sort_values("v_id")["component"]
+    assert (comp.to_numpy() == naive_ref.naive_wcc(g.V, und)).all()
+    adj_w = [[(d, 1.0) for d in a] for a in adj_out(g.V, E)]
+    dist = sssp(g, [0, 5], max_supersteps=10).to_arrow().to_pandas() \
+        .sort_values("v_id")["distance"].to_numpy()
+    exp = naive_ref.naive_sssp(g.V, adj_w, [0, 5], max_steps=10)
+    assert (dist == exp).all() and (exp > 1).any()
 
 
 def _step1(g, part):
@@ -346,9 +395,15 @@ def test_hub_skew_path(work_dir):
                                             max_steps=60)
     assert np.allclose(res["rank"].to_numpy(), ranks, atol=1e-9, rtol=0)
     # WCC exact
-    comp = wcc(g).to_arrow().to_pandas().sort_values("v_id")["component"]
+    wres = wcc(g)
+    comp = wres.to_arrow().to_pandas().sort_values("v_id")["component"]
     assert (comp.to_numpy() == naive_ref.naive_wcc(g.V,
                                                    adj_both(g.V, E))).all()
+    # the per-step skew record sees the uneven inboxes
+    h1 = wres.history[1]
+    assert h1["msgs_in_max"] > h1["msgs_in_median"] > 0
+    assert all(h["actor_wall_median_s"] <= h["actor_wall_max_s"]
+               for h in wres.history)
     # per-vertex triangles exact through the degree-oriented program
     tri = triangle_count(g).to_pandas().sort_values("v_id")
     exp = naive_ref.naive_triangles(g.V, adj_both(g.V, E))
