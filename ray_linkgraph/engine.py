@@ -40,9 +40,11 @@ MasterService.java:240-288) with Ray-native machinery:
 * global aggregators are small dicts returned from each actor and
   reduced on the driver (the analog of worker->master aggregator RPC,
   computer-core/.../aggregator/WorkerAggrManager.java);
-* each actor checkpoints its post-compute state to parquet and the
-  driver commits an atomic per-step manifest with per-partition lineage
-  (file, rows, checksum, message counts) + metrics, so runs resume
+* each actor checkpoints its post-compute state: a snapshot goes to the
+  actor's one writer thread, which writes it as plain-encoded parquet
+  (no dictionary) off the superstep's path, and the driver commits an
+  atomic per-step manifest with per-partition lineage (file, rows,
+  checksum, write time, bytes, message counts) + metrics, so runs resume
   mid-iteration (the reference only resumes at the input/compute step
   boundary, MasterService.java:191-213 TODO). Resume verifies every
   part's checksum; a failed checkpoint write fails the run.
@@ -95,6 +97,28 @@ def _state_checksum(state: dict) -> str:
                 int(np.bitwise_xor.reduce(mixed)) + len(k)
                 if len(mixed) else len(k))
     return f"{int(acc):016x}"
+
+
+def _write_state(path: str, s: int, rows: int, snap: dict) -> dict:
+    """Write one part's state snapshot (the checkpoint writer's task) and
+    return its completed-write info, including the writer's wall time
+    and the bytes written. State arrays may have several distinct lengths
+    (map/path valued programs flatten ragged per-vertex state): one
+    parquet per length group, extra groups suffixed _gN."""
+    t0 = time.monotonic()
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    groups: dict[int, dict] = {}
+    for k, v in snap.items():
+        groups.setdefault(len(v), {})[k] = v
+    nbytes = 0
+    for i, length in enumerate(sorted(groups)):
+        p = path if i == 0 else path.replace(".parquet", f"_g{i}.parquet")
+        t = pa.table({k: pa.array(v) for k, v in groups[length].items()})
+        pq.write_table(t, p, compression="none", use_dictionary=False)
+        nbytes += os.path.getsize(p)
+    return {"step": s, "file": path, "rows": rows,
+            "checksum": _state_checksum(snap),
+            "write_s": time.monotonic() - t0, "bytes": nbytes}
 
 
 def _runs(sorted_arr: np.ndarray) -> np.ndarray:
@@ -651,9 +675,8 @@ class PartitionWorker:
         self.P = meta["P"]
         self._local_dtype = np.int32 if meta["part_size"] < 2**31 else np.int64
         self._part_dtype = np.int16 if self.P < 2**15 else np.int32
-        self._ck_thread = None     # in-flight async checkpoint write
-        self._ck_done = None       # completed write info awaiting pickup
-        self._ck_error = None      # exception of a failed write
+        self._ck_writer = None     # checkpoint writer thread, on first use
+        self._ck_future = None     # in-flight write: its info, or raises
 
     def set_program(self, program, grid: tuple[int, int] | None = None,
                     relay=None):
@@ -693,16 +716,20 @@ class PartitionWorker:
                                                    self._local_dtype)
         outs = [None] * self.P
         vv = scatter.values
+        # np.take: the same values as vv[idx], and a faster gather (712k
+        # int32 indices into 125k floats: 0.80 -> 0.60 ms)
         for q, s in enumerate(slices):
             if s is None:
                 continue
             kind, a, b, idx, extra = s
             if kind == "D":
                 # dense partial straight from one bincount over the slice
-                outs[q] = ("D", np.bincount(idx, weights=vv[src_by_dst[a:b]],
-                                            minlength=extra))
+                outs[q] = ("D", np.bincount(
+                    idx, weights=np.take(vv, src_by_dst[a:b]),
+                    minlength=extra))
             else:
-                outs[q] = (extra, np.add.reduceat(vv[src_by_dst[a:b]], idx))
+                outs[q] = (extra, np.add.reduceat(
+                    np.take(vv, src_by_dst[a:b]), idx))
         return outs, int(len(src_by_dst))
 
     def _route(self, dst_global, payload):
@@ -812,7 +839,7 @@ class PartitionWorker:
                 else row_vals[0])
         partial = np.zeros(colsize, dtype=np.float64)
         if len(runs):
-            partial[ud] = np.add.reduceat(vrow[src_by_dst], runs)
+            partial[ud] = np.add.reduceat(np.take(vrow, src_by_dst), runs)
         pieces = [("D", partial[a:b]) for a, b in bounds]
         meta = {"part": self.ctx.part_id, "msgs_out": int(len(src_by_dst)),
                 "route_s": time.monotonic() - t0}
@@ -821,54 +848,34 @@ class PartitionWorker:
     # -- checkpoint / resume -------------------------------------------------
     # Checkpoint writes are ASYNC with lag-1 commit (SURVEY §7e: "async
     # write, manifest commit last"): the superstep snapshots its state
-    # (memcpy) and hands the parquet write + checksum to a background
-    # thread; the COMPLETED write info of step s-1 rides back in step s's
-    # meta, and the driver only commits a manifest once the write behind
-    # it has finished — so resume always sees durable files, at the cost
-    # of the crash window losing at most the one uncommitted step.
+    # (memcpy) and submits the directory create, parquet write and
+    # checksum to the actor's one long-lived writer thread; the writer's
+    # future yields the COMPLETED write info (or raises). Step s-1's info
+    # rides back in step s's meta, and the driver only commits a manifest
+    # once the write behind it has finished — so resume always sees
+    # durable files, at the cost of the crash window losing at most the
+    # one uncommitted step. The state is written PLAIN (no dictionary
+    # page): parquet's default tries a dictionary on every column, which
+    # for float state finds nothing to share and only costs: one
+    # 62,500-float PageRank part took 2-4.7 ms to write with it and about
+    # 0.3 ms without (a new file, ext4 or tmpfs alike, on a 4-CPU VM),
+    # and its file shrank from 626 to 501 KB.
     def _join_ck(self):
-        """Wait for the in-flight write; return completed info (or None).
-        Re-raises the exception of a failed write."""
-        if self._ck_thread is not None:
-            self._ck_thread.join()
-            self._ck_thread = None
-        done, self._ck_done = self._ck_done, None
-        err, self._ck_error = self._ck_error, None
-        if err is not None:
-            raise err
-        return done
+        """Wait for the in-flight write; return its completed info (or
+        None). Re-raises the exception of a failed write."""
+        fut, self._ck_future = self._ck_future, None
+        return None if fut is None else fut.result()
 
     def _write_checkpoint(self, ckpt_dir: str, s: int) -> dict | None:
-        import threading
-
         prev = self._join_ck()
-        d = os.path.join(ckpt_dir, f"step_{s:05d}")
-        os.makedirs(d, exist_ok=True)
-        path = os.path.join(d, f"part_{self.ctx.part_id:05d}.parquet")
+        if self._ck_writer is None:
+            from concurrent.futures import ThreadPoolExecutor
+            self._ck_writer = ThreadPoolExecutor(1)
+        path = os.path.join(ckpt_dir, f"step_{s:05d}",
+                            f"part_{self.ctx.part_id:05d}.parquet")
         snap = {k: np.array(v, copy=True) for k, v in self.state.items()}
-
-        def write():
-            # state arrays may have several distinct lengths (map/path
-            # valued programs flatten ragged per-vertex state): one
-            # parquet per length group, extra groups suffixed _gN
-            groups: dict[int, dict] = {}
-            for k, v in snap.items():
-                groups.setdefault(len(v), {})[k] = v
-            try:
-                for i, length in enumerate(sorted(groups)):
-                    p = path if i == 0 else path.replace(
-                        ".parquet", f"_g{i}.parquet")
-                    t = pa.table({k: pa.array(v)
-                                  for k, v in groups[length].items()})
-                    pq.write_table(t, p, compression="none")
-            except Exception as e:
-                self._ck_error = e
-                return
-            self._ck_done = {"step": s, "file": path, "rows": self.ctx.size,
-                             "checksum": _state_checksum(snap)}
-
-        self._ck_thread = threading.Thread(target=write, daemon=True)
-        self._ck_thread.start()
+        self._ck_future = self._ck_writer.submit(
+            _write_state, path, s, self.ctx.size, snap)
         return prev
 
     def flush_checkpoint(self) -> dict | None:
@@ -1053,7 +1060,8 @@ class BSPEngine:
             "parts": {self._ck_part(i): {**pend["msgs"].get(
                           self._ck_part(i), {}),
                       "file": i["file"], "rows": i["rows"],
-                      "checksum": i["checksum"]}
+                      "checksum": i["checksum"], "write_s": i["write_s"],
+                      "bytes": i["bytes"]}
                       for i in infos},
         }
         tmp = os.path.join(self.ckpt_dir, f"manifest_{s:05d}.json.tmp")

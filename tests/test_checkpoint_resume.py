@@ -100,6 +100,8 @@ def test_manifest_lineage_and_metrics(graph, work_dir):
         assert os.path.exists(info["file"])
         assert len(info["checksum"]) == 16
         assert info["msgs_out"] >= 0
+        assert info["write_s"] > 0
+        assert info["bytes"] == os.path.getsize(info["file"]) > 0
     metrics = [json.loads(l) for l in
                open(os.path.join(ck, "metrics.jsonl"))]
     assert [m["step"] for m in metrics] == list(range(5))
@@ -204,3 +206,52 @@ def test_failed_checkpoint_write_raises(graph, work_dir):
     # the failed run dropped the graph's pool; the next run starts a new one
     res = pagerank(graph, l1_threshold=0.0, max_supersteps=10)
     assert res.supersteps == 10 and res.to_arrow().num_rows == graph.V
+
+
+def test_failed_final_checkpoint_flush_raises(graph, work_dir):
+    """A failed write of the last step surfaces from the final
+    ``flush_checkpoint``: the run raises, commits no manifest for that
+    step and drops the graph's pool."""
+    ck = os.path.join(work_dir, "ck_pr_flush_fail")
+    os.makedirs(os.path.join(ck, "step_00009", "part_00001.parquet"))
+    with pytest.raises(OSError, match="part_00001.parquet"):
+        pagerank(graph, l1_threshold=0.0, max_supersteps=10,
+                 checkpoint_dir=ck)
+    assert os.path.exists(os.path.join(ck, "manifest_00008.json"))
+    assert not os.path.exists(os.path.join(ck, "manifest_00009.json"))
+    assert graph not in engine._POOLS
+
+
+def test_checkpoint_files_plain_encoded(graph, work_dir):
+    """Checkpoint parquet is written without a dictionary page, for
+    float (PageRank) and integer (WCC) state alike."""
+    for name, run in (("pr", pagerank), ("wcc", wcc)):
+        ck = os.path.join(work_dir, f"ck_plain_{name}")
+        run(graph, max_supersteps=3, checkpoint_dir=ck)
+        path = os.path.join(ck, "step_00001", "part_00000.parquet")
+        meta = pq.ParquetFile(path).metadata
+        assert meta.num_rows > 0
+        for i in range(meta.num_columns):
+            enc = meta.row_group(0).column(i).encodings
+            assert "PLAIN" in enc
+            assert not {"PLAIN_DICTIONARY", "RLE_DICTIONARY"} & set(enc)
+
+
+def test_dictionary_encoded_checkpoint_resumes(graph, work_dir):
+    """Part files written with parquet's default dictionary encoding (the
+    format of earlier checkpoints) restore bit-identically."""
+    ck_a = os.path.join(work_dir, "ck_pr_dict_full")
+    full = pagerank(graph, max_supersteps=10, checkpoint_dir=ck_a)
+    ck_b = os.path.join(work_dir, "ck_pr_dict_cut")
+    pagerank(graph, max_supersteps=10, checkpoint_dir=ck_b)
+    _truncate(ck_b, 3)
+    for path in glob.glob(os.path.join(ck_b, "step_00003", "*.parquet")):
+        pq.write_table(pq.read_table(path), path, compression="none")
+        enc = pq.ParquetFile(path).metadata.row_group(0).column(0).encodings
+        assert "RLE_DICTIONARY" in enc
+    resumed = pagerank(graph, max_supersteps=10, checkpoint_dir=ck_b,
+                       resume=True)
+    assert resumed.supersteps == full.supersteps
+    a = full.to_arrow().to_pandas().sort_values("v_id")["rank"].to_numpy()
+    b = resumed.to_arrow().to_pandas().sort_values("v_id")["rank"].to_numpy()
+    assert (a == b).all()
