@@ -39,7 +39,7 @@ ALPHA_DEFAULT = 0.15  # page_rank.alpha, PageRank.java:39-41
 class PageRankProgram(VertexProgram):
     combiner = "sum"
     mode = "out"
-    grid = True   # dense every-vertex scatter -> 2D grid exchange
+    dense = True  # every vertex scatters along every out-edge
 
     def __init__(self, alpha: float = ALPHA_DEFAULT,
                  l1_threshold: float = 1e-6):
@@ -62,9 +62,8 @@ class PageRankProgram(VertexProgram):
         }
 
     def _scatter(self, ctx, rank, outdeg):
-        # full-adjacency scatter -> EdgeScatter fast path (the engine's
-        # cached routing plan replaces the per-superstep dst argsort;
-        # contrib is per-vertex, broadcast along out-edges by the plan)
+        # full-adjacency scatter: contrib is per-vertex, and each
+        # receiver pulls its in-edges' sum from the published values
         contrib = np.where(outdeg > 0, rank / np.maximum(outdeg, 1), 0.0)
         return EdgeScatter("out", contrib), {}
 

@@ -20,7 +20,12 @@ MasterService.java:240-288) with Ray-native machinery:
   master step and tests for done (the driver barrier is the BSP
   barrier; no etcd);
 * the exchange is the one thing that varies, chosen once per engine
-  from P and ``program.grid``:
+  from P and ``program.dense``:
+  - dense pull (``EdgeScatter`` sum programs, every P): each actor
+    publishes one per-vertex value chunk per step, and the next
+    superstep on actor q takes all P chunks (read zero-copy) and sums
+    its own in-edges itself (``PartCtx.pull_block``: a static gather
+    per source chunk, then one bincount), so a step is one actor round;
   - direct 1D: each actor splits its messages by destination partition
     (a stable radix sort of the small partition index, so every slice
     keeps emission order), pre-combines each slice with one sort by
@@ -31,12 +36,10 @@ MasterService.java:240-288) with Ray-native machinery:
     (``Inbox``). Pre-combining per source partition is the skew
     treatment for hub dst vertices: a vertex with 10^6 in-edges
     receives at most P pre-combined values, not 10^6 messages;
-  - pod relay (1D, P >= ``RELAY_MIN_P``): the same payloads grouped per
-    pod of ~sqrt(P) partitions and regrouped by one relay task per pod,
-    O(P^1.5) object refs per superstep instead of O(P^2);
-  - 2D grid (dense ``EdgeScatter`` sum programs): actors publish
-    per-vertex scatter values, each grid cell turns its row's values
-    into dense column pieces (``edge_phase``), O(V*sqrt(P)) volume;
+  - pod relay (P >= ``RELAY_MIN_P``): one relay task per pod of
+    ~sqrt(P) partitions regroups the 1D payloads per destination, or
+    bundles the pod's dense value chunks into one object, so a step
+    makes O(P^1.5) object refs instead of O(P^2);
 * global aggregators are small dicts returned from each actor and
   reduced on the driver (the analog of worker->master aggregator RPC,
   computer-core/.../aggregator/WorkerAggrManager.java);
@@ -55,6 +58,7 @@ Messages between partitions are (dst_local:int32, value...) numpy tuples
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -66,12 +70,12 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from ._util import hash_u64
+from ._util import GOLDEN64, splitmix64, splitmix64_
 from .graph import Graph
 from .synth import synth_edges_for_range
 
 I64MAX = np.iinfo(np.int64).max
-# 1D exchanges at P >= RELAY_MIN_P go through the two-level pod relay
+# exchanges at P >= RELAY_MIN_P go through the two-level pod relay
 RELAY_MIN_P = 64
 
 
@@ -79,9 +83,20 @@ RELAY_MIN_P = 64
 # combiners: map-side precombine + receive-side final combine
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _position_keys(n: int) -> np.ndarray:
+    """``splitmix64(arange(n)) + GOLDEN64``: the position stream of the
+    checksum's ``hash_u64(words, arange(n))``, kept per state length."""
+    keys = splitmix64(np.arange(n, dtype=np.uint64)) + GOLDEN64
+    keys.flags.writeable = False
+    return keys
+
+
 def _state_checksum(state: dict) -> str:
     """Fast vectorized content checksum for checkpoint lineage (position-
-    sensitive splitmix64 mix — integrity marker, not cryptographic)."""
+    sensitive splitmix64 mix — integrity marker, not cryptographic).
+    Per array it is the xor of ``hash_u64(words, arange(n))``, mixed in
+    place in one work array and one scratch array."""
     acc = np.uint64(0x5851F42D4C957F2D)
     with np.errstate(over="ignore"):
         for k in sorted(state):
@@ -91,11 +106,14 @@ def _state_checksum(state: dict) -> str:
             if pad:
                 raw = np.concatenate([raw, np.zeros(pad, dtype=np.uint8)])
             words = raw.view(np.uint64)
-            mixed = hash_u64(words,
-                             np.arange(len(words), dtype=np.uint64))
-            acc = acc * np.uint64(31) + np.uint64(
-                int(np.bitwise_xor.reduce(mixed)) + len(k)
-                if len(mixed) else len(k))
+            x = len(k)
+            if len(words):
+                z = words.copy()
+                tmp = np.empty_like(z)
+                splitmix64_(z, tmp)
+                z ^= _position_keys(len(z))
+                x += int(np.bitwise_xor.reduce(splitmix64_(z, tmp)))
+            acc = acc * np.uint64(31) + np.uint64(x)
     return f"{int(acc):016x}"
 
 
@@ -119,6 +137,13 @@ def _write_state(path: str, s: int, rows: int, snap: dict) -> dict:
     return {"step": s, "file": path, "rows": rows,
             "checksum": _state_checksum(snap),
             "write_s": time.monotonic() - t0, "bytes": nbytes}
+
+
+def _weighted_sum(idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
+    """float64 sums of ``w`` per index in [0, size) (an empty bincount
+    would come back int64)."""
+    return np.bincount(idx, weights=w, minlength=size).astype(
+        np.float64, copy=False)
 
 
 def _runs(sorted_arr: np.ndarray) -> np.ndarray:
@@ -290,42 +315,25 @@ class Inbox:
     first maximum count, which is the min label (labels ascend within a
     dst); ``kv_min`` sorts on its full key, so no order leaks through.
 
-    Sum inboxes come in two wire formats chosen by the sender per
-    (src-part, dst-part) pair: sparse ``(dst_local, values)`` when few
-    dsts received, or a DENSE partial array (marker ``("D", array)``)
-    when most of the destination partition received — dense partials
-    cost O(part_size) sequential adds to merge, versus O(nnz) bincount
-    scatter for sparse, and avoid shipping dst indices entirely. For
-    dense-format inboxes the per-vertex received mask is not transported
-    (programs using the EdgeScatter fast path broadcast from every
-    vertex and must not depend on ``mask``)."""
+    A dense program's sum inbox is built by the receiver's own pull
+    (``Inbox.pulled``); its mask is the static in-degree > 0 mask."""
 
     def __init__(self, kind: str, size: int, parts: list):
         self.kind = kind
         self.size = size
         self.n_msgs = 0
         self._mask = None
-        parts = [p for p in parts if p is not None and
-                 (isinstance(p[0], str) or len(p[0]))]
+        parts = [p for p in parts if p is not None and len(p[0])]
         if kind == "sum":
-            dense_parts = [p[1] for p in parts if isinstance(p[0], str)]
-            sparse = [p for p in parts if not isinstance(p[0], str)]
-            acc = np.zeros(size, dtype=np.float64)
-            for arr in dense_parts:
-                acc += arr
-                self.n_msgs += size
-            if sparse:
-                # single bincount over the concatenation: O(nnz + size),
-                # not O(P * size) as a per-inbox pass would be
-                d = np.concatenate([p[0] for p in sparse])
-                v = np.concatenate([p[1] for p in sparse])
-                self.n_msgs += len(d)
-                acc += np.bincount(d, weights=v, minlength=size)
-                self._sparse_d = d
-            else:
-                self._sparse_d = np.zeros(0, dtype=np.int64)
-            self._has_dense = bool(dense_parts)
-            self.sum = acc
+            # one bincount over the concatenation: O(nnz + size), not
+            # O(P * size) as a per-part pass would be
+            d = (np.concatenate([p[0] for p in parts]) if parts
+                 else np.zeros(0, dtype=np.int64))
+            v = (np.concatenate([p[1] for p in parts]) if parts
+                 else np.zeros(0, dtype=np.float64))
+            self.n_msgs = len(d)
+            self.sum = _weighted_sum(d, v, size)
+            self._sparse_d = d
         elif kind in ("min", "max"):
             # scatter straight into the dense array: min/max need no order
             d = (np.concatenate([p[0] for p in parts]) if parts
@@ -416,22 +424,23 @@ class Inbox:
         else:
             raise ValueError(kind)
 
+    @classmethod
+    def pulled(cls, total: np.ndarray, n_msgs: int,
+               mask: np.ndarray) -> "Inbox":
+        """A dense program's sum inbox: ``total`` summed over the
+        ``n_msgs`` in-edges, ``mask`` = in-degree > 0 (read-only)."""
+        ib = cls.__new__(cls)
+        ib.kind, ib.size, ib.n_msgs = "sum", len(total), n_msgs
+        ib.sum, ib._mask = total, mask
+        return ib
+
     @property
     def mask(self) -> np.ndarray:
-        """Per-vertex received mask. Lazy for sum inboxes (computed only
-        when a program actually needs it); unavailable when a dense-format
-        sum partial was received (EdgeScatter senders broadcast from every
-        vertex, so such programs must not depend on the mask)."""
+        """Per-vertex received mask (for 1D sum inboxes built on first
+        use)."""
         if self._mask is None:
-            if self.kind == "sum" and getattr(self, "_has_dense", False):
-                raise RuntimeError(
-                    "received mask is not transported for dense-format sum "
-                    "partials (EdgeScatter fast path); the program must not "
-                    "rely on inbox.mask")
-            m = np.zeros(self.size, dtype=bool)
-            if self.kind == "sum":
-                m[self._sparse_d] = True
-            self._mask = m
+            self._mask = np.zeros(self.size, dtype=bool)
+            self._mask[self._sparse_d] = True
         return self._mask
 
 
@@ -448,9 +457,9 @@ class VertexProgram:
 
     combiner = "sum"
     mode = "out"          # which adjacency the partition loads: "out" | "both"
-    grid = False          # True -> dense 2D (grid) exchange; requires the
-    #                       program to ALWAYS scatter via EdgeScatter with
-    #                       the sum combiner (PageRank-style dense loops)
+    dense = False         # True: the program ALWAYS scatters via
+    #                       EdgeScatter with the sum combiner (PageRank-
+    #                       style dense loops) and gets the dense pull
 
     def master_init(self, graph: Graph) -> dict:
         return {}
@@ -529,9 +538,9 @@ class PartCtx:
         return self._csr[mode]
 
     def degrees(self, mode: str) -> np.ndarray:
-        """Out-degrees of owned vertices. Uses the cached CSR when built;
-        otherwise loads ONLY the src column (grid-mode actors never
-        materialize their 1D adjacency)."""
+        """Out-degrees of owned vertices. Uses the cached CSR when built
+        (or those ``pull_block`` took); otherwise loads ONLY the src
+        column."""
         key = ("deg", mode)
         if key not in self._csr:
             if mode in self._csr:
@@ -542,105 +551,47 @@ class PartCtx:
             self._csr[key] = d
         return self._csr[key]
 
-    def grid_block(self, mode: str, R: int, C: int):
-        """Cell edge block for 2D (grid) message exchange.
-
-        The P partitions are arranged as an R x C grid (P = R*C); actor
-        p hosts cell (r, c) = (p // C, p % C). Rows group C consecutive
-        vertex chunks (the cell's SOURCE range), columns group R
-        consecutive chunks (its DESTINATION range), so every (src chunk,
-        dst chunk) pair lands on exactly one cell. Per superstep a cell
-        gathers its row's C value chunks, computes ONE dense partial for
-        its column range (bincount over its E/P edges) and splits it into
-        R chunk pieces — total shipped dense volume O(V*R) per superstep
-        instead of the 1D exchange's O(V*P), and each chunk owner merges
-        R pieces instead of P partials. This is the 2D partitioning the
-        round-1 BASELINE.md flagged as the dense-regime scale fix."""
-        key = ("grid", mode, R, C)
+    def pull_block(self, mode: str):
+        """The owned chunk's in-edges for the dense pull exchange:
+        ``(src, off, dst, buf, mask)``. ``src[off[j]:off[j + 1]]`` are
+        the sources of the in-edges from partition j, local to j (int32
+        below 2**31), ``dst`` their local destinations in the same order,
+        ``buf`` the preallocated gather buffer and ``mask`` the static
+        in-degree > 0 mask. Built in one pass over the P source
+        partitions, one at a time, so actor memory stays O(E/P); the
+        own partition's out-degrees come from the same pass."""
+        key = ("pull", mode)
         if key not in self._csr:
-            r, c = divmod(self.part_id, C)
             ps = self.part_size
-            row_lo, row_hi = r * C * ps, min(self.V, (r + 1) * C * ps)
-            col_lo, col_hi = c * R * ps, min(self.V, (c + 1) * R * ps)
-            src, dst, _ = self._edges(mode, range(r * C, (r + 1) * C),
-                                      ["src_id", "dst_id"])
-            m = (dst >= col_lo) & (dst < col_hi)
-            loc_t = np.int32 if max(row_hi - row_lo,
-                                    col_hi - col_lo) < 2**31 else np.int64
-            src_local = (src[m] - row_lo).astype(loc_t)
-            dst_local = (dst[m] - col_lo).astype(loc_t)
-            # static dst-sorted runs: the per-superstep kernel is then a
-            # gather + add.reduceat + sparse write (measured ~20% faster
-            # than bincount-with-weights at bench shape)
-            order = np.argsort(dst_local, kind="stable")
-            src_by_dst = src_local[order]
-            d = dst_local[order]
-            runs = _runs(d)
-            ud = d[runs]
-            colsize = max(0, col_hi - col_lo)
-            bounds = [(min(colsize, j * ps), min(colsize, (j + 1) * ps))
-                      for j in range(R)]
-            self._csr[key] = (src_by_dst, runs, ud, colsize, bounds,
-                              row_lo, row_hi)
+            srcs, dsts = [], []
+            for j in range(self.meta["P"]):
+                src, dst, _ = self._edges(mode, range(j, j + 1),
+                                          ["src_id", "dst_id"])
+                if j == self.part_id:
+                    self._csr[("deg", mode)] = np.bincount(
+                        src - self.lo, minlength=self.size)
+                m = (dst >= self.lo) & (dst < self.hi)
+                srcs.append((src[m] - j * ps).astype(
+                    np.int32 if ps < 2**31 else np.int64))
+                dsts.append((dst[m] - self.lo).astype(np.intp))
+            off = np.zeros(len(srcs) + 1, dtype=np.int64)
+            np.cumsum([len(x) for x in srcs], out=off[1:])
+            dst = np.concatenate(dsts)
+            mask = np.bincount(dst, minlength=self.size) > 0
+            mask.flags.writeable = False
+            self._csr[key] = (np.concatenate(srcs), off, dst,
+                              np.empty(len(dst), dtype=np.float64), mask)
         return self._csr[key]
 
     def vids(self) -> np.ndarray:
         return np.arange(self.lo, self.hi, dtype=np.int64)
 
-    def scatter_plan(self, mode: str, local_dtype=np.int32):
-        """Cached routing plan for full-adjacency scatters: edges sorted
-        by dst once, kept as a dst-ordered SRC-LOCAL index (so each
-        superstep is one cache-friendly gather from the part_size-sized
-        per-vertex value array, not a permutation of an E-sized edge
-        array), plus per-destination-partition slice bounds and combine
-        run structure — all static properties of the CSR block. This
-        removes the per-superstep argsort and E-sized shuffle that would
-        otherwise dominate dense iterations like PageRank."""
-        key = ("plan", mode)
-        if key not in self._csr:
-            indptr, dst, _ = self.csr(mode)
-            P = self.meta["P"]
-            deg = np.diff(indptr)
-            src_local = np.repeat(
-                np.arange(self.size, dtype=np.int64), deg)
-            order = np.argsort(dst, kind="stable")
-            d = dst[order]
-            src_by_dst = src_local[order].astype(
-                np.int32 if self.size < 2**31 else np.int64)
-            bounds = np.searchsorted(
-                d, np.arange(1, P + 1, dtype=np.int64) * self.part_size,
-                side="left")
-            starts = np.r_[0, bounds[:-1]]
-            slices = []
-            for q in range(P):
-                a, b = int(starts[q]), int(bounds[q])
-                if b <= a:
-                    slices.append(None)
-                    continue
-                dq = d[a:b]
-                runs = np.r_[0, np.flatnonzero(np.diff(dq)) + 1]
-                q_size = min(self.V, (q + 1) * self.part_size) \
-                    - q * self.part_size
-                if len(runs) * 2 > q_size:
-                    # dense slice: most of the destination partition is
-                    # hit -> sum straight into a dense partial with one
-                    # bincount over the slice edges (static decision)
-                    dl_full = (dq - q * self.part_size).astype(local_dtype)
-                    slices.append(("D", a, b, dl_full, q_size))
-                else:
-                    dl = (dq[runs] - q * self.part_size).astype(local_dtype)
-                    slices.append(("S", a, b, runs, dl))
-            self._csr[key] = (src_by_dst, slices)
-        return self._csr[key]
-
 
 class EdgeScatter:
-    """Fast-path scatter result: one value PER VERTEX, broadcast along
-    the partition's full adjacency (i.e. every out-edge of vertex v
-    carries values[v]). Lets the engine route via the cached
-    scatter_plan: a single gather through the static dst-ordered
-    src-index instead of a per-superstep argsort. Sum combiner only
-    (PageRank-style dense loops; also the 2D grid's input)."""
+    """A dense program's scatter: one value PER VERTEX, sent along every
+    edge of ``mode`` (every out-edge of vertex v carries values[v]). The
+    engine publishes the values and each receiver pulls its in-edges'
+    sum from them (``PartCtx.pull_block``); sum combiner only."""
 
     __slots__ = ("mode", "values")
 
@@ -665,6 +616,13 @@ def _relay_pod(k: int, *blocks):
     return tuple(outs) if k > 1 else outs[0]
 
 
+@ray.remote
+def _bundle_pod(*values):
+    """The dense exchange's relay hop: one pod's value chunks as one
+    object, which every actor then reads."""
+    return values
+
+
 # ---------------------------------------------------------------------------
 # partition actor
 # ---------------------------------------------------------------------------
@@ -678,71 +636,31 @@ class PartitionWorker:
         self._ck_writer = None     # checkpoint writer thread, on first use
         self._ck_future = None     # in-flight write: its info, or raises
 
-    def set_program(self, program, grid: tuple[int, int] | None = None,
-                    relay=None):
-        """Arm the actor for one engine's run and its exchange: ``grid`` =
-        (R, C) for the 2D grid, ``relay`` = the pods of the 1D pod relay,
-        neither for the direct 1D exchange. Every engine on the graph arms
-        the graph's pool through here; the PartCtx CSR/grid/plan caches
-        persist per edge MODE, so only the first program per mode pays the
-        adjacency build."""
+    def set_program(self, program, relay=None):
+        """Arm the actor for one engine's run and its exchange: ``relay``
+        = the pods of the pod relay, None for the direct exchange. Every
+        engine on the graph arms the graph's pool through here; the
+        PartCtx CSR/pull-block caches persist per edge MODE, so only the
+        first program per mode pays the adjacency build."""
         self._join_ck()            # never carry an in-flight write over
         self.program = program
         self.program.combiner      # touch to fail early on bad programs
-        self.grid, self.relay = grid, relay
-        if grid is None:
-            self.ctx.csr(self.program.mode)  # build CSR once, up front
+        self.relay = relay
+        self.dense = getattr(program, "dense", False)
+        if self.dense:
+            self.ctx.pull_block(program.mode)  # in-edges + degrees, no CSR
         else:
-            self.ctx.grid_block(self.program.mode, *grid)
-            self.ctx.degrees(self.program.mode)  # degrees only, no 1D CSR
+            self.ctx.csr(program.mode)         # build CSR once, up front
         self.state = None
         return True
 
     # -- message routing ----------------------------------------------------
-    def _route_edges(self, scatter: EdgeScatter):
-        """Fast path: per-vertex values broadcast along all edges,
-        combined with the cached static routing plan (no per-step
-        argsort; the only dynamic work is one gather + reduceat).
-
-        When a slice's pre-combined output covers most of the destination
-        partition (dense message pattern, e.g. PageRank on avg-degree-10
-        graphs at small P), ship a DENSE partial-sum array instead of
-        (dst, val) pairs: receivers then merge with cheap sequential adds
-        instead of an O(nnz) scatter, which keeps receive-side work
-        O(E/P + part_size) per actor instead of O(V)."""
-        if self.program.combiner != "sum":
-            raise TypeError("EdgeScatter needs the sum combiner")
-        src_by_dst, slices = self.ctx.scatter_plan(scatter.mode,
-                                                   self._local_dtype)
-        outs = [None] * self.P
-        vv = scatter.values
-        # np.take: the same values as vv[idx], and a faster gather (712k
-        # int32 indices into 125k floats: 0.80 -> 0.60 ms)
-        for q, s in enumerate(slices):
-            if s is None:
-                continue
-            kind, a, b, idx, extra = s
-            if kind == "D":
-                # dense partial straight from one bincount over the slice
-                outs[q] = ("D", np.bincount(
-                    idx, weights=np.take(vv, src_by_dst[a:b]),
-                    minlength=extra))
-            else:
-                outs[q] = (extra, np.add.reduceat(
-                    np.take(vv, src_by_dst[a:b]), idx))
-        return outs, int(len(src_by_dst))
-
     def _route(self, dst_global, payload):
         """Split outgoing messages by destination partition, pre-combining
         each slice. Returns P objects (or None) + sent count. The split
         is a stable sort of the small partition index (a radix sort for
         int16), so each slice reaches ``precombine`` in emission order
         and ``precombine`` does the one sort by dst."""
-        # name-based check: with cloudpickle by-value registration
-        # (__ray_entry__) the actor's EdgeScatter class object can be a
-        # distinct copy from the program module's, so isinstance fails
-        if dst_global.__class__.__name__ == "EdgeScatter":
-            return self._route_edges(dst_global)
         outs = [None] * self.P
         if dst_global is None or len(dst_global) == 0:
             return outs, 0
@@ -760,12 +678,29 @@ class PartitionWorker:
             a = b
         return outs, int(len(dst_global))
 
+    def _pull(self, values) -> Inbox:
+        """A dense program's receive: gather each in-edge's source value
+        from the P value chunks (``values``: the chunks, or under the
+        relay one tuple of chunks per pod), then one bincount into the
+        owned chunk. The order of the sum is static, so a rerun and a
+        resume are bit-identical."""
+        if self.relay is not None:
+            values = [v for pod in values for v in pod]
+        src, off, dst, buf, mask = self.ctx.pull_block(self.program.mode)
+        for j, v in enumerate(values):
+            a, b = off[j], off[j + 1]
+            # mode="clip": indices are in range by construction, and
+            # "raise" would gather into a temporary, not into out
+            np.take(v, src[a:b], out=buf[a:b], mode="clip")
+        return Inbox.pulled(_weighted_sum(dst, buf, self.ctx.size),
+                            len(dst), mask)
+
     # -- superstep ----------------------------------------------------------
     @staticmethod
     def _unwrap_inbox(inbox_parts) -> list:
         """Relay-mode inboxes arrive as ONE ``("RELAY", [parts...])``
         bundle per actor (direct mode: P raw parts, at P=1 one part whose
-        first field is an array; grid: R dense pieces)."""
+        first field is an array)."""
         parts = list(inbox_parts)
         if (len(parts) == 1 and type(parts[0]) is tuple
                 and len(parts[0]) == 2 and type(parts[0][0]) is str
@@ -774,15 +709,23 @@ class PartitionWorker:
         return parts
 
     def _send(self, dst, payload):
-        """Hand a step's sends to the exchange. Grid: publish the per-
-        vertex scatter values (read zero-copy by the row's cells; the
-        messages are counted by ``edge_phase``). 1D: P per-destination
-        payloads, grouped into one block per pod under the relay (None
-        when the whole pod got nothing — the relay skips it)."""
-        if self.grid is not None:
-            if dst.__class__.__name__ != "EdgeScatter":
-                raise TypeError("grid programs must scatter via EdgeScatter")
-            return [np.ascontiguousarray(dst.values, dtype=np.float64)], 0
+        """Hand a step's sends to the exchange. Dense: publish the per-
+        vertex values, one object that every actor pulls from; the sent
+        messages are the out-edges. 1D: P per-destination payloads,
+        grouped into one block per pod under the relay (None when the
+        whole pod got nothing — the relay skips it)."""
+        # name-based check: with cloudpickle by-value registration
+        # (__ray_entry__) the actor's EdgeScatter class object can be a
+        # distinct copy from the program module's, so isinstance fails
+        if self.dense:
+            if (dst.__class__.__name__ != "EdgeScatter"
+                    or dst.mode != self.program.mode):
+                raise TypeError("dense programs must scatter via "
+                                "EdgeScatter along their own edge mode")
+            return ([np.ascontiguousarray(dst.values, dtype=np.float64)],
+                    int(self.ctx.degrees(dst.mode).sum()))
+        if dst.__class__.__name__ == "EdgeScatter":
+            raise TypeError("only dense programs scatter via EdgeScatter")
         outs, n_out = self._route(dst, payload)
         if self.relay is not None:
             outs = [None if all(outs[q] is None for q in pod)
@@ -797,13 +740,17 @@ class PartitionWorker:
         # cannot influence output within the horizon (e.g. path forwards
         # whose votes would arrive after the last step).
         self.ctx.steps_remaining = steps_remaining
-        n_in = 0
+        n_in, pull_s = 0, 0.0
         if s == 0:
             self.state = self.program.init(self.ctx, g)
             dst, payload, aggs = self.program.compute0(self.ctx, self.state, g)
         else:
-            inbox = Inbox(self.program.combiner, self.ctx.size,
-                          self._unwrap_inbox(inbox_parts))
+            if self.dense:
+                inbox = self._pull(inbox_parts)
+                pull_s = time.monotonic() - t0   # the exchange's share
+            else:
+                inbox = Inbox(self.program.combiner, self.ctx.size,
+                              self._unwrap_inbox(inbox_parts))
             n_in = inbox.n_msgs
             dst, payload, aggs = self.program.compute(
                 self.ctx, self.state, inbox, g, s)
@@ -816,8 +763,8 @@ class PartitionWorker:
         t3 = time.monotonic()
         meta = {"aggs": aggs, "part": self.ctx.part_id, "msgs_in": n_in,
                 "msgs_out": n_out, "wall_s": t3 - t0,
-                "compute_s": t1 - t0, "ckpt_s": t2 - t1, "route_s": t3 - t2,
-                "checkpoint": ck}
+                "compute_s": t1 - t0 - pull_s, "ckpt_s": t2 - t1,
+                "route_s": t3 - t2 + pull_s, "checkpoint": ck}
         return (*outs, meta)
 
     def rescatter(self, s: int, g: dict, steps_remaining: int):
@@ -826,24 +773,6 @@ class PartitionWorker:
         outs, n_out = self._send(
             *self.program.rescatter(self.ctx, self.state, g, s))
         return (*outs, {"part": self.ctx.part_id, "msgs_out": n_out})
-
-    def edge_phase(self, *row_vals):
-        """Grid cell's exchange round: gather the row's value chunks, one
-        add.reduceat over the cell's edges into a dense column partial,
-        split into per-chunk dense pieces (``("D", piece)``, the sum
-        Inbox's dense wire format)."""
-        t0 = time.monotonic()
-        src_by_dst, runs, ud, colsize, bounds, row_lo, row_hi = \
-            self.ctx.grid_block(self.program.mode, *self.grid)
-        vrow = (np.concatenate(row_vals) if len(row_vals) > 1
-                else row_vals[0])
-        partial = np.zeros(colsize, dtype=np.float64)
-        if len(runs):
-            partial[ud] = np.add.reduceat(np.take(vrow, src_by_dst), runs)
-        pieces = [("D", partial[a:b]) for a, b in bounds]
-        meta = {"part": self.ctx.part_id, "msgs_out": int(len(src_by_dst)),
-                "route_s": time.monotonic() - t0}
-        return (*pieces, meta)
 
     # -- checkpoint / resume -------------------------------------------------
     # Checkpoint writes are ASYNC with lag-1 commit (SURVEY §7e: "async
@@ -977,33 +906,26 @@ class BSPEngine:
         if program.combiner == "label_count":
             check_label_key(graph.meta)
         P = graph.P
-        # the exchange, fixed for the engine's life: 2D grid for dense
-        # EdgeScatter programs, else direct 1D or (large P) pod relay
-        self.grid = self.relay = None
-        if getattr(program, "grid", False):
-            if program.combiner != "sum":
-                raise ValueError("grid programs must use the sum combiner")
-            # R = smallest divisor >= sqrt(P): keeps the row gather
-            # window (C*V/P <= V/sqrt(P)) cache-small while piece volume
-            # stays O(V*R) ~ O(V*sqrt(P)). Measured at P=8/V=4M/deg=30:
-            # R=4 0.59 s/step vs R=2 0.86 vs R=8 (1D-dense degenerate)
-            # 1.58. No such R < P (P prime or < 4): 1D exchange.
-            cands = [r for r in range(2, P) if P % r == 0 and r * r >= P]
-            if cands:
-                self.grid = (min(cands), P // min(cands))
-        if self.grid is None and P >= RELAY_MIN_P:
-            # the direct 1D exchange creates O(P^2) driver-owned object
-            # refs per superstep (measured 1.8 s/step of pure driver
-            # plumbing at P=128, tools/p2_refbench.py). The relay groups
-            # partitions into ~sqrt(P) pods: actors return one block per
-            # POD, a relay task per pod regroups to per-destination
-            # bundles — O(P^1.5) refs, bit-identical results (the
-            # receive-side Inbox still does the combine).
+        # the exchange, fixed for the engine's life: the dense pull for
+        # EdgeScatter programs, else the 1D exchange; both direct, or
+        # through the pod relay at large P
+        self.dense = getattr(program, "dense", False)
+        if self.dense and program.combiner != "sum":
+            raise ValueError("dense programs must use the sum combiner")
+        self.relay = None
+        if P >= RELAY_MIN_P:
+            # the direct exchange creates O(P^2) driver-owned object refs
+            # per superstep (measured 1.8 s/step of pure driver plumbing
+            # at P=128, tools/p2_refbench.py). The relay groups partitions
+            # into ~sqrt(P) pods, and one relay task per pod regroups the
+            # pod's 1D blocks per destination or bundles its dense value
+            # chunks: O(P^1.5) refs, bit-identical results (the receiver
+            # still does the combine).
             K = max(2, int(round(P ** 0.5)))
             self.relay = [list(range(j, min(j + K, P)))
                           for j in range(0, P, K)]
         # return values per actor send, besides the meta
-        self._n_out = (1 if self.grid else
+        self._n_out = (1 if self.dense else
                        len(self.relay) if self.relay else P)
         pool = _POOLS.get(graph)
         if pool is None or pool["session"] != _ray_session():
@@ -1021,7 +943,7 @@ class BSPEngine:
         # must not run on actors re-armed (even partly) for this one
         pool["armed_by"] = weakref.ref(self)
         self._pool, self.actors = pool, pool["actors"]
-        ray.get([a.set_program.remote(self.program, self.grid, self.relay)
+        ray.get([a.set_program.remote(self.program, self.relay)
                  for a in self.actors])
 
     # -- manifest helpers ---------------------------------------------------
@@ -1127,23 +1049,19 @@ class BSPEngine:
                 f"fresh)")
 
     def _exchange(self, out_refs):
-        """Launch the exchange round for one round of actor sends
-        (``out_refs[p]`` = actor p's send refs). Returns each partition's
-        inbox refs and the refs of the round's own metas (grid cells
-        only). Grid: cell (r, c) reads its row's C value refs and
-        returns R pieces; ``inboxes[q][r]`` = piece from cell
-        (r, col(q)) for chunk q."""
+        """Launch the exchange for one round of actor sends (``out_refs[p]``
+        = actor p's send refs) and return each partition's inbox refs.
+        Dense: every partition gets all P value chunks (under the relay,
+        one bundle per pod)."""
         P = self.graph.P
-        if self.grid is not None:
-            R, C = self.grid
-            eouts = [self.actors[p].edge_phase.options(num_returns=R + 1)
-                     .remote(*[out_refs[q][0] for q in
-                               range(p // C * C, (p // C + 1) * C)])
-                     for p in range(P)]
-            return ([[eouts[r * C + q // R][q % R] for r in range(R)]
-                     for q in range(P)], [e[R] for e in eouts])
+        if self.dense:
+            values = [o[0] for o in out_refs]
+            if self.relay is not None:
+                values = [_bundle_pod.remote(*[values[p] for p in pod])
+                          for pod in self.relay]
+            return [values] * P
         if self.relay is None:
-            return [[out_refs[p][q] for p in range(P)] for q in range(P)], []
+            return [[out_refs[p][q] for p in range(P)] for q in range(P)]
         inboxes = [None] * P
         for j, pod in enumerate(self.relay):
             k = len(pod)
@@ -1153,7 +1071,7 @@ class BSPEngine:
                 r = [r]
             for i, q in enumerate(pod):
                 inboxes[q] = [r[i]]
-        return inboxes, []
+        return inboxes
 
     def run(self, max_supersteps: int = 10, resume: bool = False) -> BSPResult:
         if (_POOLS.get(self.graph) is not self._pool
@@ -1186,7 +1104,7 @@ class BSPEngine:
                     .remote(s_ck, g, max_supersteps - 1 - s_ck)
                     for a in self.actors]
             ray.get([o[n] for o in outs])  # barrier on rescatter
-            inboxes = self._exchange([o[:n] for o in outs])[0]
+            inboxes = self._exchange([o[:n] for o in outs])
             s = s_ck + 1
             self._truncate_metrics(s_ck)
 
@@ -1198,16 +1116,13 @@ class BSPEngine:
                         s, g, do_ckpt, max_supersteps - 1 - s,
                         *(inboxes[p] if s > 0 else ()))
                     for p, a in enumerate(self.actors)]
-            # launch the next exchange round at once: the grid's edge
-            # phase overlaps the meta collection and the master step
-            inboxes, xmeta_refs = self._exchange([o[:n] for o in outs])
+            # launch the next exchange at once (the relay tasks overlap
+            # the meta collection and the master step)
+            inboxes = self._exchange([o[:n] for o in outs])
             metas = ray.get([o[n] for o in outs])
-            # grid: the cells' metas count the messages (barrier: pieces
-            # materialized); 1D: the actors' own
-            xmetas = ray.get(xmeta_refs) or metas
             wall = time.monotonic() - t0
             aggs = _reduce_aggs([m["aggs"] for m in metas])
-            msg_total = sum(m["msgs_out"] for m in xmetas)
+            msg_total = sum(m["msgs_out"] for m in metas)
             cont, g = self.program.master(s, aggs, msg_total, self.graph, g)
             done = (not cont) or msg_total == 0 or s == max_supersteps - 1
             history.append({
@@ -1215,7 +1130,7 @@ class BSPEngine:
                 "aggs": dict(aggs),
                 "actor_compute_s": max(m["compute_s"] for m in metas),
                 "actor_ckpt_s": max(m["ckpt_s"] for m in metas),
-                "actor_route_s": max(m["route_s"] for m in xmetas),
+                "actor_route_s": max(m["route_s"] for m in metas),
                 "actor_wall_max_s": max(m["wall_s"] for m in metas),
                 "actor_wall_median_s": float(np.median(
                     [m["wall_s"] for m in metas])),
@@ -1223,6 +1138,11 @@ class BSPEngine:
                 "msgs_in_max": max(m["msgs_in"] for m in metas),
                 "msgs_in_median": float(np.median(
                     [m["msgs_in"] for m in metas])),
+                # the writer's time for the writes completed since the
+                # last step (the lag-1 infos riding in these metas)
+                "ckpt_write_s": max((m["checkpoint"]["write_s"]
+                                     for m in metas if m["checkpoint"]),
+                                    default=0.0),
             })
             if do_ckpt:
                 self._stash_pending(s, g, aggs, metas, wall, done)

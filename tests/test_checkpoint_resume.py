@@ -90,7 +90,11 @@ def test_wcc_resume_midfrontier(graph, work_dir, every):
 
 def test_manifest_lineage_and_metrics(graph, work_dir):
     ck = os.path.join(work_dir, "ck_lineage")
-    pagerank(graph, max_supersteps=5, checkpoint_dir=ck)
+    res = pagerank(graph, max_supersteps=5, checkpoint_dir=ck)
+    # each step's row carries the writer time of the writes completed
+    # since the last step (lag-1: none yet at step 0)
+    writes = [h["ckpt_write_s"] for h in res.history]
+    assert writes[0] == 0.0 and all(w > 0 for w in writes[1:])
     mans = sorted(glob.glob(os.path.join(ck, "manifest_*.json")))
     assert len(mans) == 5
     with open(mans[2]) as f:
@@ -106,6 +110,19 @@ def test_manifest_lineage_and_metrics(graph, work_dir):
                open(os.path.join(ck, "metrics.jsonl"))]
     assert [m["step"] for m in metrics] == list(range(5))
     assert all("wall_s" in m and "aggs" in m for m in metrics)
+
+
+def test_state_checksum_pinned():
+    """The checkpoint checksum of a fixed multi-array state (float64,
+    int64, bool and an odd byte length) keeps its value, so manifests
+    written by earlier versions still verify."""
+    state = {"rank": np.linspace(0, 1, 1001),
+             "ids": np.arange(-5, 995, dtype=np.int64) * 7919,
+             "active": np.arange(1003) % 3 == 0,
+             "tail": np.frombuffer(b"odd-length!", dtype=np.uint8)}
+    assert engine._state_checksum(state) == "720b3d840056e763"
+    assert engine._state_checksum({}) == "5851f42d4c957f2d"
+    assert engine._state_checksum({"e": np.zeros(0)}) == "b1ec917c461a6674"
 
 
 def test_closeness_resume_bitexact(graph, work_dir):

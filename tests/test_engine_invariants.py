@@ -1,4 +1,4 @@
-"""Engine invariants: layout independence (1D vs 2D grid exchange) and
+"""Engine invariants: layout independence of the dense pull exchange and
 property-based checks for the message-payload / hashing kernels."""
 
 import numpy as np
@@ -14,8 +14,8 @@ from ray_linkgraph.ops import texthash
 
 
 def test_pagerank_layout_independent(work_dir):
-    """Same graph, P=2 (1D exchange) vs P=4 (2x2 grid): identical ranks
-    up to float summation order."""
+    """Same graph, P=2 vs P=4 partitions: identical ranks up to float
+    summation order."""
     import os
     edges = [(i, (i * 7 + 3) % 50) for i in range(50)] + \
             [(i, (i + 1) % 50) for i in range(50)]
@@ -67,6 +67,94 @@ def test_agg_by_int_keys_matches_plain_groupby(rows, reduce):
 
 def _ranks(res):
     return res.to_arrow().to_pandas().sort_values("v_id")["rank"].to_numpy()
+
+
+def _pull_graph(work_dir, n_parts):
+    """40 vertices: receivers r00-r19 (ids 0-19, every fifth one
+    dangling) and senders s00-s19 (ids 20-39) that nothing points to, so
+    at every P > 1 some partition gets no in-edge."""
+    import os
+    edges = [(f"r{i:02d}", f"r{d:02d}") for i in range(20) if i % 5
+             for d in ((3 * i + 1) % 20, (7 * i + 2) % 20)]
+    edges += [(f"s{i:02d}", f"r{d:02d}") for i in range(20)
+              for d in (i, (11 * i + 5) % 20)]
+    t = pa.table({"src": [a for a, b in edges], "dst": [b for a, b in edges]})
+    return build_graph(rd.from_arrow(t),
+                       os.path.join(work_dir, f"pull_p{n_parts}"),
+                       n_parts=n_parts)
+
+
+def _stored_edges(g):
+    import pyarrow.parquet as pq
+    t = pa.concat_tables([pq.read_table(g.edges_path("out", p))
+                          for p in range(g.P)])
+    return t.column("src_id").to_numpy(), t.column("dst_id").to_numpy()
+
+
+@pytest.mark.parametrize("n_parts", [1, 2, 3, 4, 5, 8])
+def test_pagerank_pull_matches_power_iteration(work_dir, n_parts):
+    """The dense pull exchange at any P equals a numpy power iteration of
+    the reference's update rule, with the same superstep count."""
+    from naive_ref import naive_pagerank
+    from ray_linkgraph.algorithms import pagerank
+    g = _pull_graph(work_dir, n_parts)
+    src, dst = _stored_edges(g)
+    out_adj = [dst[src == v].tolist() for v in range(g.V)]
+    assert any(not a for a in out_adj)                     # dangling
+    if n_parts > 1:                      # a partition no edge points into
+        assert set(range(g.P)) - set((dst // g.part_size).tolist())
+    exp, steps = naive_pagerank(g.V, out_adj, thresh=1e-9, max_steps=60)
+    res = pagerank(g, l1_threshold=1e-9, max_supersteps=60)
+    assert res.supersteps == steps < 60
+    assert np.allclose(_ranks(res), exp, atol=1e-12, rtol=0)
+    assert all(h["msgs"] == len(src) for h in res.history)
+
+
+@pytest.mark.parametrize("n_parts", [4, 5])
+def test_pagerank_pull_relay_bit_identical(work_dir, monkeypatch, n_parts):
+    """The pod relay (forced at small P; at P=5 one pod has one member)
+    hands every actor the same value chunks in the same order, so ranks
+    are bit-identical to the direct pull."""
+    from ray_linkgraph import engine
+    from ray_linkgraph.algorithms import pagerank
+    g = _pull_graph(work_dir, n_parts)
+    direct = _ranks(pagerank(g, l1_threshold=0.0, max_supersteps=8))
+    monkeypatch.setattr(engine, "RELAY_MIN_P", 2)
+    relayed = _ranks(pagerank(g, l1_threshold=0.0, max_supersteps=8))
+    assert direct.tobytes() == relayed.tobytes()
+
+
+def test_dense_inbox_mask_is_in_degree(work_dir):
+    """A dense program's inbox has a mask: the static in-degree > 0 mask
+    of its partition (here read by a toy EdgeScatter program that also
+    sums ones, i.e. counts in-edges)."""
+    from ray_linkgraph.engine import EdgeScatter, VertexProgram, run_program
+
+    class InEdges(VertexProgram):
+        dense = True
+
+        def init(self, ctx, g):
+            return {"seen": np.zeros(ctx.size, dtype=bool),
+                    "indeg": np.zeros(ctx.size)}
+
+        def compute0(self, ctx, state, g):
+            return EdgeScatter("out", np.ones(ctx.size)), {}, {}
+
+        def compute(self, ctx, state, inbox, g, s):
+            state["seen"], state["indeg"] = inbox.mask.copy(), inbox.sum
+            return EdgeScatter("out", np.ones(ctx.size)), {}, {}
+
+        def output(self, ctx, state):
+            return state
+
+    g = _pull_graph(work_dir, 4)
+    _, dst = _stored_edges(g)
+    indeg = np.bincount(dst, minlength=g.V)
+    t = run_program(g, InEdges(), max_supersteps=2).to_arrow() \
+        .to_pandas().sort_values("v_id")
+    assert (t["indeg"].to_numpy() == indeg).all()
+    assert (t["seen"].to_numpy() == (indeg > 0)).all()
+    assert not t["seen"].to_numpy()[20:].any()
 
 
 def _pool_ids(g):

@@ -2,7 +2,7 @@
 
 Answers "is clean_corpus's sub-0.8 2→8 scaling the pipeline's fault or
 the host's?" the same way tools/membench.py answers it for the engine's
-gather+reduceat edge phase: run the EXACT per-batch kernel the MinHash
+dense pull gather: run the EXACT per-batch kernel the MinHash
 stage runs (`texthash.minhash_band_hashes` — utf-8 → codepoints, prefix
 -sum polynomial hashes, 64 permutation passes, band folds) over the
 same synthetic corpus in K barrier-synchronized plain processes and
