@@ -12,34 +12,16 @@ from __future__ import annotations
 import numpy as np
 
 _U64 = np.uint64
-GOLDEN64 = _U64(0x9E3779B97F4A7C15)
-_M1, _M2 = _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB)
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer over uint64 arrays (public domain
     algorithm, Steele et al.)."""
     with np.errstate(over="ignore"):
-        z = (x.astype(_U64) + GOLDEN64)
-        z = (z ^ (z >> _U64(30))) * _M1
-        z = (z ^ (z >> _U64(27))) * _M2
+        z = (x.astype(_U64) + _U64(0x9E3779B97F4A7C15))
+        z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
         z = z ^ (z >> _U64(31))
-    return z
-
-
-def splitmix64_(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """``splitmix64`` of the uint64 array ``z`` in place, with ``tmp`` (same
-    shape) as the one scratch array: no temporaries, for large arrays
-    (``splitmix64`` is faster on scalars and small arrays)."""
-    z += GOLDEN64
-    np.right_shift(z, _U64(30), out=tmp)
-    z ^= tmp
-    z *= _M1
-    np.right_shift(z, _U64(27), out=tmp)
-    z ^= tmp
-    z *= _M2
-    np.right_shift(z, _U64(31), out=tmp)
-    z ^= tmp
     return z
 
 
@@ -106,7 +88,7 @@ def hash_u64(*streams: "np.ndarray | int") -> np.ndarray:
         for s in streams:
             a = np.asarray(s, dtype=np.uint64)
             h = splitmix64(a)
-            acc = h if acc is None else splitmix64(acc ^ (h + GOLDEN64))
+            acc = h if acc is None else splitmix64(acc ^ (h + _U64(0x9E3779B97F4A7C15)))
     return acc
 
 

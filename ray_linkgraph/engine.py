@@ -36,10 +36,9 @@ MasterService.java:240-288) with Ray-native machinery:
     (``Inbox``). Pre-combining per source partition is the skew
     treatment for hub dst vertices: a vertex with 10^6 in-edges
     receives at most P pre-combined values, not 10^6 messages;
-  - pod relay (P >= ``RELAY_MIN_P``): one relay task per pod of
-    ~sqrt(P) partitions regroups the 1D payloads per destination, or
-    bundles the pod's dense value chunks into one object, so a step
-    makes O(P^1.5) object refs instead of O(P^2);
+  - pod relay (1D only, P >= ``RELAY_MIN_P``): one relay task per pod
+    of ~sqrt(P) partitions regroups the 1D payloads per destination, so
+    a step makes O(P^1.5) object refs instead of O(P^2);
 * global aggregators are small dicts returned from each actor and
   reduced on the driver (the analog of worker->master aggregator RPC,
   computer-core/.../aggregator/WorkerAggrManager.java);
@@ -58,7 +57,6 @@ Messages between partitions are (dst_local:int32, value...) numpy tuples
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import time
@@ -70,12 +68,12 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from ._util import GOLDEN64, splitmix64, splitmix64_
+from ._util import hash_u64
 from .graph import Graph
 from .synth import synth_edges_for_range
 
 I64MAX = np.iinfo(np.int64).max
-# exchanges at P >= RELAY_MIN_P go through the two-level pod relay
+# 1D exchanges at P >= RELAY_MIN_P go through the two-level pod relay
 RELAY_MIN_P = 64
 
 
@@ -83,20 +81,9 @@ RELAY_MIN_P = 64
 # combiners: map-side precombine + receive-side final combine
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _position_keys(n: int) -> np.ndarray:
-    """``splitmix64(arange(n)) + GOLDEN64``: the position stream of the
-    checksum's ``hash_u64(words, arange(n))``, kept per state length."""
-    keys = splitmix64(np.arange(n, dtype=np.uint64)) + GOLDEN64
-    keys.flags.writeable = False
-    return keys
-
-
 def _state_checksum(state: dict) -> str:
     """Fast vectorized content checksum for checkpoint lineage (position-
-    sensitive splitmix64 mix — integrity marker, not cryptographic).
-    Per array it is the xor of ``hash_u64(words, arange(n))``, mixed in
-    place in one work array and one scratch array."""
+    sensitive splitmix64 mix — integrity marker, not cryptographic)."""
     acc = np.uint64(0x5851F42D4C957F2D)
     with np.errstate(over="ignore"):
         for k in sorted(state):
@@ -106,14 +93,11 @@ def _state_checksum(state: dict) -> str:
             if pad:
                 raw = np.concatenate([raw, np.zeros(pad, dtype=np.uint8)])
             words = raw.view(np.uint64)
-            x = len(k)
-            if len(words):
-                z = words.copy()
-                tmp = np.empty_like(z)
-                splitmix64_(z, tmp)
-                z ^= _position_keys(len(z))
-                x += int(np.bitwise_xor.reduce(splitmix64_(z, tmp)))
-            acc = acc * np.uint64(31) + np.uint64(x)
+            mixed = hash_u64(words,
+                             np.arange(len(words), dtype=np.uint64))
+            acc = acc * np.uint64(31) + np.uint64(
+                int(np.bitwise_xor.reduce(mixed)) + len(k)
+                if len(mixed) else len(k))
     return f"{int(acc):016x}"
 
 
@@ -539,7 +523,7 @@ class PartCtx:
 
     def degrees(self, mode: str) -> np.ndarray:
         """Out-degrees of owned vertices. Uses the cached CSR when built
-        (or those ``pull_block`` took); otherwise loads ONLY the src
+        (or those ``split_out_edges`` took); otherwise loads ONLY the src
         column."""
         key = ("deg", mode)
         if key not in self._csr:
@@ -551,37 +535,49 @@ class PartCtx:
             self._csr[key] = d
         return self._csr[key]
 
+    def split_out_edges(self, mode: str):
+        """The own partition's edges split by destination partition, for
+        the pull blocks: ``(src, dst, off)``, where ``src[off[q]:off[q + 1]]``
+        (local to this partition) and ``dst`` (local to q) are the edges
+        into partition q, in file order. Also caches the out-degrees."""
+        src, dst, _ = self._edges(mode, self._own, ["src_id", "dst_id"])
+        self._csr[("deg", mode)] = np.bincount(src - self.lo,
+                                               minlength=self.size)
+        ps, P = self.part_size, self.meta["P"]
+        local = np.int32 if ps < 2**31 else np.int64
+        q = (dst // ps).astype(np.int16 if P < 2**15 else np.int32)
+        order = np.argsort(q, kind="stable")
+        off = np.zeros(P + 1, dtype=np.int64)
+        np.cumsum(np.bincount(q, minlength=P), out=off[1:])
+        q = q[order]
+        return ((src[order] - self.lo).astype(local),
+                (dst[order] - q.astype(np.int64) * ps).astype(local), off)
+
+    def set_pull_block(self, mode: str, splits):
+        """Keep the owned chunk's in-edges, taken from the P partitions'
+        ``split_out_edges``, as the dense pull's static block."""
+        q = self.part_id
+        src = np.concatenate([s[o[q]:o[q + 1]] for s, _, o in splits])
+        dst = np.concatenate([d[o[q]:o[q + 1]] for _, d, o in splits]
+                             ).astype(np.intp)
+        off = np.zeros(len(splits) + 1, dtype=np.int64)
+        np.cumsum([o[q + 1] - o[q] for _, _, o in splits], out=off[1:])
+        mask = np.bincount(dst, minlength=self.size) > 0
+        mask.flags.writeable = False
+        self._csr[("pull", mode)] = (src, off, dst,
+                                     np.empty(len(dst), dtype=np.float64),
+                                     mask)
+
     def pull_block(self, mode: str):
         """The owned chunk's in-edges for the dense pull exchange:
         ``(src, off, dst, buf, mask)``. ``src[off[j]:off[j + 1]]`` are
         the sources of the in-edges from partition j, local to j (int32
         below 2**31), ``dst`` their local destinations in the same order,
         ``buf`` the preallocated gather buffer and ``mask`` the static
-        in-degree > 0 mask. Built in one pass over the P source
-        partitions, one at a time, so actor memory stays O(E/P); the
-        own partition's out-degrees come from the same pass."""
-        key = ("pull", mode)
-        if key not in self._csr:
-            ps = self.part_size
-            srcs, dsts = [], []
-            for j in range(self.meta["P"]):
-                src, dst, _ = self._edges(mode, range(j, j + 1),
-                                          ["src_id", "dst_id"])
-                if j == self.part_id:
-                    self._csr[("deg", mode)] = np.bincount(
-                        src - self.lo, minlength=self.size)
-                m = (dst >= self.lo) & (dst < self.hi)
-                srcs.append((src[m] - j * ps).astype(
-                    np.int32 if ps < 2**31 else np.int64))
-                dsts.append((dst[m] - self.lo).astype(np.intp))
-            off = np.zeros(len(srcs) + 1, dtype=np.int64)
-            np.cumsum([len(x) for x in srcs], out=off[1:])
-            dst = np.concatenate(dsts)
-            mask = np.bincount(dst, minlength=self.size) > 0
-            mask.flags.writeable = False
-            self._csr[key] = (np.concatenate(srcs), off, dst,
-                              np.empty(len(dst), dtype=np.float64), mask)
-        return self._csr[key]
+        in-degree > 0 mask; None until ``set_pull_block`` set it at
+        arming, once per edge mode, so each partition's edges are read
+        once."""
+        return self._csr.get(("pull", mode))
 
     def vids(self) -> np.ndarray:
         return np.arange(self.lo, self.hi, dtype=np.int64)
@@ -616,13 +612,6 @@ def _relay_pod(k: int, *blocks):
     return tuple(outs) if k > 1 else outs[0]
 
 
-@ray.remote
-def _bundle_pod(*values):
-    """The dense exchange's relay hop: one pod's value chunks as one
-    object, which every actor then reads."""
-    return values
-
-
 # ---------------------------------------------------------------------------
 # partition actor
 # ---------------------------------------------------------------------------
@@ -641,17 +630,24 @@ class PartitionWorker:
         = the pods of the pod relay, None for the direct exchange. Every
         engine on the graph arms the graph's pool through here; the
         PartCtx CSR/pull-block caches persist per edge MODE, so only the
-        first program per mode pays the adjacency build."""
+        first program per mode pays the adjacency build. Returns True
+        when a dense program still needs its pull block (``arm_pull``)."""
         self._join_ck()            # never carry an in-flight write over
         self.program = program
         self.program.combiner      # touch to fail early on bad programs
         self.relay = relay
         self.dense = getattr(program, "dense", False)
-        if self.dense:
-            self.ctx.pull_block(program.mode)  # in-edges + degrees, no CSR
-        else:
-            self.ctx.csr(program.mode)         # build CSR once, up front
         self.state = None
+        if self.dense:
+            return self.ctx.pull_block(program.mode) is None
+        self.ctx.csr(program.mode)         # build CSR once, up front
+        return False
+
+    def split_out_edges(self):
+        return self.ctx.split_out_edges(self.program.mode)
+
+    def arm_pull(self, *splits):
+        self.ctx.set_pull_block(self.program.mode, splits)
         return True
 
     # -- message routing ----------------------------------------------------
@@ -680,12 +676,9 @@ class PartitionWorker:
 
     def _pull(self, values) -> Inbox:
         """A dense program's receive: gather each in-edge's source value
-        from the P value chunks (``values``: the chunks, or under the
-        relay one tuple of chunks per pod), then one bincount into the
-        owned chunk. The order of the sum is static, so a rerun and a
-        resume are bit-identical."""
-        if self.relay is not None:
-            values = [v for pod in values for v in pod]
+        from the P value chunks, then one bincount into the owned chunk.
+        The order of the sum is static, so a rerun and a resume are
+        bit-identical."""
         src, off, dst, buf, mask = self.ctx.pull_block(self.program.mode)
         for j, v in enumerate(values):
             a, b = off[j], off[j + 1]
@@ -722,6 +715,12 @@ class PartitionWorker:
                     or dst.mode != self.program.mode):
                 raise TypeError("dense programs must scatter via "
                                 "EdgeScatter along their own edge mode")
+            if len(dst.values) != self.ctx.size:
+                # the receivers' gather clips, so a short chunk would
+                # pass silently
+                raise ValueError(
+                    f"EdgeScatter has {len(dst.values)} values for a "
+                    f"partition of {self.ctx.size} vertices")
             return ([np.ascontiguousarray(dst.values, dtype=np.float64)],
                     int(self.ctx.degrees(dst.mode).sum()))
         if dst.__class__.__name__ == "EdgeScatter":
@@ -907,20 +906,19 @@ class BSPEngine:
             check_label_key(graph.meta)
         P = graph.P
         # the exchange, fixed for the engine's life: the dense pull for
-        # EdgeScatter programs, else the 1D exchange; both direct, or
-        # through the pod relay at large P
+        # EdgeScatter programs (always direct: P objects per step), else
+        # the 1D exchange, direct or through the pod relay at large P
         self.dense = getattr(program, "dense", False)
         if self.dense and program.combiner != "sum":
             raise ValueError("dense programs must use the sum combiner")
         self.relay = None
-        if P >= RELAY_MIN_P:
-            # the direct exchange creates O(P^2) driver-owned object refs
+        if P >= RELAY_MIN_P and not self.dense:
+            # the direct 1D exchange creates O(P^2) actor-returned objects
             # per superstep (measured 1.8 s/step of pure driver plumbing
             # at P=128, tools/p2_refbench.py). The relay groups partitions
             # into ~sqrt(P) pods, and one relay task per pod regroups the
-            # pod's 1D blocks per destination or bundles its dense value
-            # chunks: O(P^1.5) refs, bit-identical results (the receiver
-            # still does the combine).
+            # pod's blocks per destination: O(P^1.5) refs, bit-identical
+            # results (the receiver still does the combine).
             K = max(2, int(round(P ** 0.5)))
             self.relay = [list(range(j, min(j + K, P)))
                           for j in range(0, P, K)]
@@ -943,8 +941,15 @@ class BSPEngine:
         # must not run on actors re-armed (even partly) for this one
         pool["armed_by"] = weakref.ref(self)
         self._pool, self.actors = pool, pool["actors"]
-        ray.get([a.set_program.remote(self.program, self.relay)
-                 for a in self.actors])
+        cold = ray.get([a.set_program.remote(self.program, self.relay)
+                        for a in self.actors])
+        if any(cold):
+            # a dense program's first arming for its edge mode: every
+            # actor reads its own edges and splits them by destination
+            # partition, and each cold actor keeps its slice of all P
+            splits = [a.split_out_edges.remote() for a in self.actors]
+            ray.get([a.arm_pull.remote(*splits)
+                     for a, c in zip(self.actors, cold) if c])
 
     # -- manifest helpers ---------------------------------------------------
     # Lag-1 commit protocol: checkpoint writes are async inside the
@@ -1051,15 +1056,10 @@ class BSPEngine:
     def _exchange(self, out_refs):
         """Launch the exchange for one round of actor sends (``out_refs[p]``
         = actor p's send refs) and return each partition's inbox refs.
-        Dense: every partition gets all P value chunks (under the relay,
-        one bundle per pod)."""
+        Dense: every partition gets all P value chunks."""
         P = self.graph.P
         if self.dense:
-            values = [o[0] for o in out_refs]
-            if self.relay is not None:
-                values = [_bundle_pod.remote(*[values[p] for p in pod])
-                          for pod in self.relay]
-            return [values] * P
+            return [[o[0] for o in out_refs]] * P
         if self.relay is None:
             return [[out_refs[p][q] for p in range(P)] for q in range(P)]
         inboxes = [None] * P

@@ -110,16 +110,35 @@ def test_pagerank_pull_matches_power_iteration(work_dir, n_parts):
     assert all(h["msgs"] == len(src) for h in res.history)
 
 
+def test_pagerank_pull_synthetic_graph(work_dir):
+    """On a synthetic graph (edges regenerated per partition, no files)
+    the dense pull also equals the power iteration."""
+    import os
+    from naive_ref import naive_pagerank
+    from ray_linkgraph.algorithms import pagerank
+    from ray_linkgraph.synth import build_synthetic_graph, \
+        synth_edges_for_range
+    g = build_synthetic_graph(os.path.join(work_dir, "synth_pull"), V=3000,
+                              avg_deg=4, n_parts=3, seed=7)
+    src, dst = synth_edges_for_range(3000, 4, 7, 0, 3000)
+    out_adj = np.split(dst, np.searchsorted(src, np.arange(1, 3000)))
+    exp, steps = naive_pagerank(3000, out_adj, thresh=1e-9, max_steps=60)
+    res = pagerank(g, l1_threshold=1e-9, max_supersteps=60)
+    assert res.supersteps == steps < 60
+    assert np.allclose(_ranks(res), exp, atol=1e-12, rtol=0)
+
+
 @pytest.mark.parametrize("n_parts", [4, 5])
 def test_pagerank_pull_relay_bit_identical(work_dir, monkeypatch, n_parts):
-    """The pod relay (forced at small P; at P=5 one pod has one member)
-    hands every actor the same value chunks in the same order, so ranks
-    are bit-identical to the direct pull."""
+    """The pod relay is 1D-only: with it forced at small P a dense
+    program still pulls its P value chunks directly, and its ranks are
+    bit-identical to a run without the relay."""
     from ray_linkgraph import engine
-    from ray_linkgraph.algorithms import pagerank
+    from ray_linkgraph.algorithms import PageRankProgram, pagerank
     g = _pull_graph(work_dir, n_parts)
     direct = _ranks(pagerank(g, l1_threshold=0.0, max_supersteps=8))
     monkeypatch.setattr(engine, "RELAY_MIN_P", 2)
+    assert engine.BSPEngine(g, PageRankProgram()).relay is None
     relayed = _ranks(pagerank(g, l1_threshold=0.0, max_supersteps=8))
     assert direct.tobytes() == relayed.tobytes()
 
@@ -155,6 +174,24 @@ def test_dense_inbox_mask_is_in_degree(work_dir):
     assert (t["indeg"].to_numpy() == indeg).all()
     assert (t["seen"].to_numpy() == (indeg > 0)).all()
     assert not t["seen"].to_numpy()[20:].any()
+
+
+def test_dense_scatter_length_checked(work_dir):
+    """A dense scatter must carry one value per vertex of its partition:
+    a short chunk fails the run (the receivers' gather would clip)."""
+    from ray_linkgraph.engine import EdgeScatter, VertexProgram, run_program
+
+    class Short(VertexProgram):
+        dense = True
+
+        def init(self, ctx, g):
+            return {}
+
+        def compute0(self, ctx, state, g):
+            return EdgeScatter("out", np.ones(ctx.size - 1)), {}, {}
+
+    with pytest.raises(Exception, match="EdgeScatter has"):
+        run_program(_pull_graph(work_dir, 2), Short(), max_supersteps=2)
 
 
 def _pool_ids(g):

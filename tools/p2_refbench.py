@@ -2,10 +2,11 @@
 
 VERDICT r4 item 5/7: the 1D superstep creates O(P^2) object refs per
 step on the driver (each of P actors returns P message refs and
-receives P inbox refs). The dense pull pays the same on its input side
-(each of P actors takes all P value refs), and so do sparse / frontier
-programs (WCC tail, kcore, rings); from ``engine.RELAY_MIN_P`` both go
-through the pod relay. This tool quantifies that cost on the host it
+receives P inbox refs), and so do sparse / frontier programs (WCC
+tail, kcore, rings); from ``engine.RELAY_MIN_P`` they go through the
+pod relay. The dense pull makes only P objects per step (each of P
+actors takes all P value refs) and stays direct; this tool does not
+measure it. This tool quantifies that cost on the host it
 runs on with a constant-traffic ping
 program (every vertex sends one tiny message per step, so actor compute
 is negligible and the per-step wall is dominated by exchange plumbing),
