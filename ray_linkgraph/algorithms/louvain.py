@@ -1,636 +1,294 @@
-"""Louvain-style community detection — a DISTRIBUTED variant.
+"""Louvain-style community detection as one vertex program on the
+graph's partition actors — a DISTRIBUTED variant.
 
 The reference's Louvain is explicitly NOT distributed: it fetches the
 whole graph into one process and runs the sequential VOS modularity
-optimizer (/root/reference/computer-algorithm/.../community/louvain/
+optimizer (reference computer-algorithm/.../community/louvain/
 Louvain.java:44-62 + HGModularityOptimizer.java, dedicated
 WorkerServiceLouvain.java). Its exact output therefore cannot be
 reproduced by any parallel schedule; this module implements the
-standard SYNCHRONOUS one-level local-moving phase as a Ray Data
-pipeline instead (documented deviation):
+standard SYNCHRONOUS local-moving phase instead (documented deviation),
+repeated over levels of super-nodes:
 
-round r (all vertices decide simultaneously, deterministic):
-    * community totals  tot(c) = Σ weighted degree of members;
-    * k_{v,c} = Σ edge weight from v into community c — a distributed
-      edge pass with map-side partials + groupby (v, c) Sum;
-    * one-level modularity gain  ΔQ(v→c) ∝ k_{v,c} − k_v·tot'(c)/2m
-      with tot'(c) = tot(c) − k_v when c is v's current community (the
-      c == cur row therefore equals the STAYING gain);
-    * v adopts the argmax-gain community (ties → smallest label) iff it
-      strictly beats staying; stop when nothing moves.
+round (every super-node decides at once, deterministically):
+    * community totals  TOT(c) = sum of K(s) over the super-nodes in c;
+    * k_{s,c} = the edge weight from super-node s into community c;
+    * one-level modularity gain  dQ(s->c) ~ k_{s,c} - K(s)*TOT'(c)/2m
+      with TOT'(c) = TOT(c) - K(s) when c is s's current community (that
+      row is therefore the STAYING gain);
+    * s adopts the argmax-gain community (ties -> smallest label) iff it
+      strictly beats staying (by more than 1e-15).
 
-Two physical routes with identical results:
+No contraction. Local moving on the level-l community graph equals
+local moving of SUPER-NODES over the original both-mode edges, where
+sup(v) is v's community after level l-1, K(s) the sum of its members'
+weighted degrees k_v, and an edge u-v adds to k_{s,c} only when
+sup(u) != sup(v) (level 1 is sup(v) = v). A community id is an original
+vertex id, so every super-node and every community has an OWNER: the
+partition holding that vertex id, addressed by sending to the id.
 
-* broadcast route (default below LARGE_GRAPH_V vertices): the
-  per-round label/degree/total lookup tables are broadcast once via
-  ray.put (V-bounded — fine to tens of millions of vertices) and the
-  decision reduce happens on the driver;
-* join route (``large_graph=True`` or V >= LARGE_GRAPH_V): labels/
-  degrees/community totals live as Datasets; k_{v,c} comes from an
-  edges⋈labels hash join + groupby, the per-node argmax runs inside
-  coarse-hashed map_groups kernels (vectorized lexsort+reduceat, never
-  one call per node), and moves are applied back with a left_outer
-  join — no O(V) array ever materializes on the driver.
+Supersteps (``concat`` combiner), three per round:
+  spread  member v sets comm(v) from its super-node's label; for every
+          edge v->u with sup(u) != sup(v) it adds w to the row
+          (sup(u), comm(v)) (combined within the partition) and sends
+          the rows to owner(comm(v)); owner s sends its stay row
+          (s, K(s)) to owner(L(s));
+  total   owner c sums TOT(c) from its stay rows and k_{s,c} from the
+          edge rows, and returns (c, k_{s,c}, TOT(c)) to owner(s) — a
+          k_{s,c} = 0 row for each stay row without edges, so every s
+          gets its staying row;
+  decide  owner s computes every gain with its own K(s), moves, counts
+          its moves in the ``moved`` aggregator (the one number that
+          leaves the actors per round) and sends L(s) to its members.
+At level 1 every vertex is its own super-node and only member, so
+superstep 0 is the first spread and each decide also does the next
+spread: two supersteps per round. A later level starts with one
+``start`` step: members take the last labels, set sup := comm, send
+k_v to owner(sup(v)) (K(s) and the member list) and sup(v) to their
+neighbours, which keep it per edge for the level; level 1's last
+decide does this itself. A level ends at 0 moves or after
+``max_rounds`` rounds; a level that moves nothing ends the run (the
+next level would repeat it), and a last level above 1 that ended on
+moves takes them in one final ``start`` step that sends nothing.
+``BSPResult.history`` shows the ``moved`` count of every decide.
 
-Undirected semantics via the graph's both-direction layout; weights
-default 1.0.
+The packed sort keys c*V + s need V**2 < 2**63. Float sums run in a
+fixed order per partitioning; integer weights (the gate graphs) are
+exact in float64, so labels are identical at every P.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-import pyarrow as pa
 import ray
 import ray.data
 
+from ..engine import (I64MAX, VertexProgram, _runs, _weighted_sum,
+                      run_program)
 from ..graph import Graph
 
-
-def _collect(ds) -> pa.Table | None:
-    tabs = [t if isinstance(t, pa.Table)
-            else pa.Table.from_pandas(t, preserve_index=False)
-            for t in ray.get(ds.to_arrow_refs())]
-    tabs = [t for t in tabs if t.num_rows]
-    return pa.concat_tables(tabs) if tabs else None
+_Z = np.zeros(0, dtype=np.int64)
 
 
-def _edges_both_ds(graph: Graph):
-    graph.ensure_mode("both")
-    files = [graph.edges_path("both", p) for p in range(graph.P)
-             if os.path.exists(graph.edges_path("both", p))]
-    has_w = graph.meta.get("weight_col") is not None
-    cols = ["src_id", "dst_id"] + (["weight"] if has_w else [])
-    ds = ray.data.read_parquet(files, columns=cols)
-    if not has_w:
-        ds = ds.map_batches(
-            lambda t: t.append_column("weight",
-                                      pa.array(np.ones(len(t)))),
-            batch_format="pyarrow")
-    return ds
+def _sum_runs(key: np.ndarray, w: np.ndarray):
+    """Distinct keys in ascending order and the sum of ``w`` per key (in
+    input order within a key: one stable sort)."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = _runs(key)
+    return key[starts], np.add.reduceat(w[order], starts)
 
 
-LARGE_GRAPH_V = 20_000_000   # above this the join route is the default
-LOCAL_EDGES_MAX = 2_000_000  # at/below: whole round loop is driver numpy
+@ray.remote
+def _node_community(t):
+    return t.rename_columns(["node", "community"])
 
 
-def louvain_communities(graph: Graph, max_rounds: int = 10,
-                        large_graph: bool | None = None,
-                        num_partitions: int = 32):
+class LouvainProgram(VertexProgram):
+    combiner = "concat"
+    mode = "both"
+
+    def __init__(self, levels: int = 1, max_rounds: int = 10):
+        self.levels = levels
+        self.max_rounds = max_rounds
+
+    def master_init(self, graph):
+        # phase: what the next step does; sent: what its inbox holds
+        return {"phase": "spread", "sent": None, "level": 1, "round": 0,
+                "moved": 0, "two_m": 0.0}
+
+    def _sends(self, g):
+        """What the step of globals ``g`` sends. At level 1 every
+        super-node is its own only member, so decide also spreads, or
+        starts level 2 in the last round."""
+        phase, level = g["phase"], g["level"]
+        if phase == "decide" and level == 1:
+            last = g["round"] + 1 == self.max_rounds and self.levels > 1
+            return "start" if last else "spread"
+        if phase == "decide":
+            return "members"
+        if phase == "start" and level > self.levels:
+            return None
+        return phase
+
+    @staticmethod
+    def _edges(ctx):
+        """(local source, weight) of every owned both-mode edge, in CSR
+        order, and the weighted degrees k_v."""
+        indptr, _, w = ctx.csr("both")
+        own = np.repeat(np.arange(ctx.size), np.diff(indptr))
+        w = np.ones(len(own)) if w is None else w
+        return own, w, _weighted_sum(own, w, ctx.size)
+
+    @staticmethod
+    def _clear_tx(st):
+        """Drop total's outgoing rows, kept in the state for rescatter."""
+        st.update(tx_s=_Z, tx_c=_Z, tx_kvc=np.zeros(0), tx_tot=np.zeros(0))
+
+    def init(self, ctx, g):
+        v = ctx.vids()
+        st = {"comm": v, "sup": v.copy(), "L": v.copy(),
+              "K": self._edges(ctx)[2], "nbr": ctx.csr("both")[1],
+              "mem_s": np.arange(ctx.size), "mem_v": v.copy()}
+        self._clear_tx(st)
+        return st
+
+    def compute0(self, ctx, state, g):
+        dst, payload = self._send(ctx, state, "spread")
+        return dst, payload, {"two_m": float(state["K"].sum())}
+
+    def compute(self, ctx, st, inbox, g, s):
+        phase, level = g["phase"], g["level"]
+        d = inbox.dst.astype(np.int64)
+        cols = inbox.cols         # payload keys in sorted order
+        aggs = {}
+        if g["sent"] == "members" and len(d):
+            st["comm"][d] = cols[0]
+        elif g["sent"] == "start":
+            self._level_start(ctx, st, d, cols)
+        if phase == "total":
+            self._total(ctx, st, d, cols)
+        elif phase == "decide":
+            aggs = {"moved": self._decide(st, d, cols, g["two_m"])}
+            if level == 1:
+                st["comm"] = st["L"].copy()
+        kind = self._sends(g)
+        if kind == "start":
+            st["sup"] = st["comm"].copy()
+        return (*self._send(ctx, st, kind), aggs)
+
+    def _level_start(self, ctx, st, d, cols):
+        """Members' k_v rows (b < 0) give each owned super-node K(s) and
+        its member list; neighbours' sup rows, keyed (v, sender) like
+        the sorted CSR, give the per-edge sup(u) for the level."""
+        if len(d) == 0:
+            a = b = d
+            w = np.zeros(0)
+        else:
+            a, b, w = cols
+        mem = b < 0
+        order = np.argsort(d[mem], kind="stable")
+        st["mem_s"], st["mem_v"] = d[mem][order], a[mem][order]
+        st["K"] = _weighted_sum(d[mem], w[mem], ctx.size)
+        st["L"] = ctx.vids()
+        nb = ~mem
+        order = np.argsort(d[nb] * np.int64(ctx.V) + a[nb])
+        st["nbr"] = b[nb][order]
+        if len(st["nbr"]) != len(ctx.csr("both")[1]):
+            raise ValueError("both-mode adjacency is not symmetric")
+
+    def _total(self, ctx, st, d, cols):
+        """Owner c: TOT(c) from the stay rows, k_{s,c} summed from the
+        edge rows, one outgoing (s, c, k_{s,c}, TOT(c)) row per pair."""
+        if len(d) == 0:
+            self._clear_tx(st)
+            return
+        s, stay, w = cols
+        tot = _weighted_sum(d[stay], w[stay], ctx.size)
+        V = np.int64(ctx.V)
+        key, kvc = _sum_runs(d * V + s, np.where(stay, 0.0, w))
+        c = key // V
+        st["tx_s"], st["tx_c"] = key % V, c + ctx.lo
+        st["tx_kvc"], st["tx_tot"] = kvc, tot[c]
+
+    def _decide(self, st, d, cols, two_m) -> int:
+        """Owner s: best candidate by (gain desc, candidate asc); move iff
+        it beats the staying row by more than 1e-15."""
+        self._clear_tx(st)
+        if len(d) == 0:
+            return 0
+        o = np.argsort(d, kind="stable")
+        d = d[o]
+        c, kvc, tot = (x[o] for x in cols)
+        K, L = st["K"][d], st["L"][d]
+        cur = c == L                        # exactly one per super-node
+        gain = kvc - K * (tot - np.where(cur, K, 0.0)) / two_m
+        starts = _runs(d)
+        best_g = np.maximum.reduceat(gain, starts)
+        top = gain == np.repeat(best_g, np.diff(np.r_[starts, len(d)]))
+        best_c = np.minimum.reduceat(np.where(top, c, I64MAX), starts)
+        do = (best_g > gain[cur] + 1e-15) & (best_c != L[starts])
+        st["L"][d[starts][do]] = best_c[do]
+        return int(do.sum())
+
+    def _send(self, ctx, st, kind):
+        """The ``kind`` of messages (``_sends``) from the post-compute
+        state alone, so ``rescatter`` replays them."""
+        if kind is None:
+            return _Z, {}
+        if kind == "total":
+            return st["tx_s"], {"c": st["tx_c"], "kvc": st["tx_kvc"],
+                                "tot": st["tx_tot"]}
+        if kind == "members":
+            return st["mem_v"], {"c": st["L"][st["mem_s"]]}
+        own, w, k = self._edges(ctx)
+        if kind == "start":
+            n = len(own)
+            return np.concatenate([st["sup"], ctx.csr("both")[1]]), {
+                "a": np.concatenate([ctx.vids(), own + ctx.lo]),
+                "b": np.concatenate([np.full(ctx.size, -1), st["sup"][own]]),
+                "w": np.concatenate([k, np.zeros(n)])}
+        # spread: edge rows to owner(comm(v)), stay rows to owner(L(s))
+        cross = st["nbr"] != st["sup"][own]
+        V = np.int64(ctx.V)
+        key, kw = _sum_runs(st["comm"][own[cross]] * V + st["nbr"][cross],
+                            w[cross])
+        sn = np.flatnonzero(np.bincount(st["mem_s"], minlength=ctx.size))
+        return np.concatenate([key // V, st["L"][sn]]), {
+            "s": np.concatenate([key % V, sn + ctx.lo]),
+            "stay": np.r_[np.zeros(len(key), bool), np.ones(len(sn), bool)],
+            "w": np.concatenate([kw, st["K"][sn]])}
+
+    def rescatter(self, ctx, state, g, s):
+        return self._send(ctx, state, g["sent"])
+
+    def master(self, s, aggs, msg_total, graph, g):
+        g = {**g, "sent": self._sends(g)}
+        if s == 0:
+            g["two_m"] = float(aggs["two_m"])
+            if g["two_m"] == 0:
+                return False, g
+        nxt = {"spread": "total", "total": "decide", "start": "spread"}
+        if g["phase"] in nxt:
+            g["phase"] = nxt[g["phase"]]
+            return True, g
+        moved = aggs["moved"]
+        g["round"] += 1
+        g["moved"] += moved
+        if g["moved"] == 0:
+            return False, g
+        if g["sent"] == "start":
+            g.update(phase="spread", level=2, round=0, moved=0)
+            return True, g
+        if moved and g["round"] < self.max_rounds:
+            g["phase"] = "total" if g["level"] == 1 else "spread"
+            return True, g
+        if g["level"] == self.levels and (g["level"] == 1 or not moved):
+            return False, g
+        g.update(phase="start", level=g["level"] + 1, round=0, moved=0)
+        return True, g
+
+    def output(self, ctx, state):
+        return {"community": state["comm"]}
+
+
+def louvain_multilevel(graph: Graph, levels: int = 2, max_rounds: int = 10):
+    """-> Dataset(node, community): ``levels`` levels of synchronous local
+    moving, each over the previous level's communities as super-nodes;
+    every vertex appears (isolated -> singleton). Community ids are
+    original vertex ids at every level."""
+    if levels < 1:
+        raise ValueError(f"levels must be at least 1, got {levels}")
+    if graph.V >= 3_037_000_499:
+        raise NotImplementedError("Louvain's packed keys need V < 3.0e9")
+    res = run_program(graph, LouvainProgram(levels, max_rounds),
+                      max_supersteps=levels * (3 * max_rounds + 1))
+    # one small task per part: a Ray Data rename stage costs more
+    return ray.data.from_arrow_refs([_node_community.remote(t)
+                                     for t in res.output_refs])
+
+
+def louvain_communities(graph: Graph, max_rounds: int = 10):
     """-> Dataset(node, community): one level of synchronous local
-    moving; every vertex of the graph appears (isolated -> singleton).
-    ``large_graph`` forces the join route (None = auto by V).
-
-    Determinism note (ADVICE.md): the k/tot/kvc sums flow through
-    ``agg_by_int_keys``, whose float reduction order varies with
-    partitioning — exact for INTEGER edge weights (the gate graphs;
-    int64-valued floats stay exact under float64 addition well past any
-    realistic weight sum), while general float weights can flip
-    near-tie gain comparisons between runs. For float-weighted graphs
-    apply an epsilon tie-break upstream or scale weights to integers."""
-    edges = _edges_both_ds(graph).materialize()
-    if large_graph is None:
-        large_graph = graph.V >= LARGE_GRAPH_V
-    all_nodes = np.arange(graph.V, dtype=np.int64)
-    singletons = pa.table({"node": pa.array(all_nodes),
-                           "community": pa.array(all_nodes)})
-    if not large_graph and edges.count() <= LOCAL_EDGES_MAX:
-        # local tier collects the edge list anyway: derive two_m and the
-        # degrees from the collected arrays instead of paying two extra
-        # Dataset jobs (sum + degree aggregate) of pure fixed overhead
-        t = _collect(edges)
-        if t is None:
-            return ray.data.from_arrow(singletons)
-        src = t.column("src_id").to_numpy().astype(np.int64)
-        dst = t.column("dst_id").to_numpy().astype(np.int64)
-        w = t.column("weight").to_numpy()
-        two_m = float(w.sum())
-        if two_m == 0:
-            return ray.data.from_arrow(singletons)
-        k_v = np.bincount(src, weights=w, minlength=graph.V)
-        labels = _local_moving_bcast((src, dst, w), graph.V, k_v, two_m,
-                                     max_rounds, small_edges=True)
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array(all_nodes),
-            "community": pa.array(labels)}))
-    two_m = float(edges.sum("weight") or 0.0)
-    if two_m == 0:
-        return ray.data.from_arrow(singletons)
-    if large_graph:
-        return _louvain_large(graph, edges, two_m, max_rounds,
-                              num_partitions)
-    from .._util import agg_by_int_keys
-    kd = _collect(agg_by_int_keys(edges, ["src_id"], "weight", "k"))
-    k_v = np.zeros(graph.V, dtype=np.float64)
-    k_v[kd.column("src_id").to_numpy()] = kd.column("k").to_numpy()
-    labels = _local_moving_bcast(
-        edges, graph.V, k_v, two_m, max_rounds,
-        small_edges=graph.num_edges("both") <= 5_000_000)
-
-    return ray.data.from_arrow(pa.table({
-        "node": pa.array(all_nodes),
-        "community": pa.array(labels)}))
-
-
-def _local_moving_bcast(edges, V, k_v, two_m, max_rounds,
-                        small_edges: bool):
-    """Synchronous local-moving rounds over an edge Dataset
-    (src_id, dst_id, weight; SELF-LOOPS EXCLUDED — a self-loop moves
-    with its node, so it cancels from every gain comparison and must
-    only appear in the supplied ``k_v`` degrees). Returns the final
-    label array. The broadcast tables are V-bounded; the edge pass is
-    distributed map-side-combined partials.
-
-    Edge sets at or below LOCAL_EDGES_MAX rows are pulled to the driver
-    ONCE (or passed directly as numpy arrays) and the whole round loop
-    runs as plain numpy — a Ray Data job per round costs ~1 s of fixed
-    overhead regardless of size, which dominates at gate scale and on
-    contracted multilevel graphs; the distributed per-round edge pass
-    (the same lexsort/reduceat math) is preserved above the threshold.
-    Labels are bit-identical across the tiers when edge weights are
-    exact in float64 (integer weights — the gate graphs); for general
-    float weights the partial-sum ORDER differs between tiers, so a
-    gain tie within ~1e-15 could in principle resolve differently."""
-    labels = np.arange(V, dtype=np.int64)
-
-    if isinstance(edges, tuple):
-        local = edges                      # (src, dst, weight) arrays
-    else:
-        local = None
-        # callers pass materialized datasets; re-materializing is a
-        # no-op that guarantees count() below is metadata-only instead
-        # of executing the plan twice (count + collect, ADVICE.md)
-        edges = edges.materialize()
-        if edges.count() <= LOCAL_EDGES_MAX:
-            t = _collect(edges)
-            if t is not None:
-                local = (t.column("src_id").to_numpy().astype(np.int64),
-                         t.column("dst_id").to_numpy().astype(np.int64),
-                         t.column("weight").to_numpy())
-
-    for _ in range(max_rounds):
-        tot = np.bincount(labels, weights=k_v, minlength=V)
-        if local is not None:
-            lv, ld, lw = local
-            lc = labels[ld]
-            lo = np.lexsort((lc, lv))
-            v2l, c2l, w2l = lv[lo], lc[lo], lw[lo]
-            runs = np.r_[0, np.flatnonzero(
-                (np.diff(v2l) != 0) | (np.diff(c2l) != 0)) + 1]
-            n2, c2 = v2l[runs], c2l[runs]
-            kvc = np.add.reduceat(w2l, runs)
-            moved = _apply_moves(labels, k_v, tot, two_m, n2, c2, kvc)
-            if moved is None:
-                break
-            labels = moved
-            continue
-        ref = ray.put((labels, k_v, tot))
-
-        def gain_pass(t: pa.Table) -> pa.Table:
-            # distributed edge pass: per-batch partial k_{v,c} rows
-            # (plain tasks, not an actor pool — a fresh pool per round
-            # costs seconds of actor startup; the broadcast tables are
-            # zero-copy plasma reads per task)
-            lab, _, _ = ray.get(ref)
-            v = t.column("src_id").to_numpy()
-            c = lab[t.column("dst_id").to_numpy()]
-            w = t.column("weight").to_numpy()
-            order = np.lexsort((c, v))
-            v2, c2, w2 = v[order], c[order], w[order]
-            runs = np.r_[0, np.flatnonzero(
-                (np.diff(v2) != 0) | (np.diff(c2) != 0)) + 1]
-            return pa.table({
-                "node": pa.array(v2[runs]),
-                "cand": pa.array(c2[runs]),
-                "kvc": pa.array(np.add.reduceat(w2, runs))})
-
-        partials = edges.map_batches(gain_pass, batch_format="pyarrow")
-        if small_edges:
-            # small graph: sum the (already per-batch combined) partials
-            # in one pass — a groupby job per round costs seconds of
-            # fixed overhead regardless of size
-            kvc_tbl = _collect(partials)
-            if kvc_tbl is None:
-                break
-            n0 = kvc_tbl.column("node").to_numpy().astype(np.int64)
-            c0 = kvc_tbl.column("cand").to_numpy().astype(np.int64)
-            w0 = kvc_tbl.column("kvc").to_numpy()
-            o0 = np.lexsort((c0, n0))
-            n0, c0, w0 = n0[o0], c0[o0], w0[o0]
-            runs = np.r_[0, np.flatnonzero((np.diff(n0) != 0) |
-                                           (np.diff(c0) != 0)) + 1]
-            n2, c2 = n0[runs], c0[runs]
-            kvc = np.add.reduceat(w0, runs)
-        else:
-            from .._util import agg_by_int_keys as _agg
-            kvc_tbl = _collect(_agg(partials, ["node", "cand"],
-                                    "kvc", "kvc"))
-            if kvc_tbl is None:
-                break
-            n2 = kvc_tbl.column("node").to_numpy().astype(np.int64)
-            c2 = kvc_tbl.column("cand").to_numpy().astype(np.int64)
-            kvc = kvc_tbl.column("kvc").to_numpy()
-        moved = _apply_moves(labels, k_v, tot, two_m, n2, c2, kvc)
-        if moved is None:
-            break
-        labels = moved
-
-    return labels
-
-
-def _apply_moves(labels, k_v, tot, two_m, n2, c2, kvc):
-    """One round's move decision over the reduced (node, cand, kvc)
-    rows. Returns the new label array, or None when nothing moves
-    (convergence). Shared verbatim by the driver-local and distributed
-    broadcast paths so they stay bit-identical."""
-    cur2 = labels[n2]
-    tot_adj = tot[c2] - np.where(c2 == cur2, k_v[n2], 0.0)
-    g2 = kvc - k_v[n2] * tot_adj / two_m
-    # best candidate per node, ties (gain desc, cand asc)
-    o2 = np.lexsort((c2, -g2, n2))
-    n3, c3, g3 = n2[o2], c2[o2], g2[o2]
-    first = np.r_[0, np.flatnonzero(np.diff(n3) != 0) + 1]
-    best_n, best_c, best_g = n3[first], c3[first], g3[first]
-    # staying gain: the (node, cur) row when it exists, else the
-    # closed form with k_{v,cur} = 0
-    cur_b = labels[best_n]
-    stay = -k_v[best_n] * (tot[cur_b] - k_v[best_n]) / two_m
-    is_cur = c2 == cur2
-    if is_cur.any():
-        pos = np.searchsorted(best_n, n2[is_cur])
-        stay[pos] = g2[is_cur]
-    do = (best_g > stay + 1e-15) & (best_c != cur_b)
-    if not do.any():
-        return None
-    out = labels.copy()
-    out[best_n[do]] = best_c[do]
-    return out
-
-
-def _coalesce_moves(t: pa.Table) -> pa.Table:
-    import pyarrow.compute as pc
-    new = t.column("new_lab")
-    cur = t.column("cur")
-    return pa.table({"node": t.column("node"),
-                     "cur": pc.if_else(pc.is_null(new), cur, new)})
-
-
-def _decide_kernel(two_m: float):
-    """Vectorized per-node argmax over one coarse-hash group of
-    (node, cand, kvc, cur, k, tot_cand, tot_cur) rows -> move rows.
-    Bit-identical to the broadcast path: weights/degrees/totals are
-    exact integers in float64, so sums and gains reproduce regardless
-    of reduction order."""
-    def fn(t: pa.Table) -> pa.Table:
-        n = t.column("node").to_numpy().astype(np.int64)
-        c = t.column("cand").to_numpy().astype(np.int64)
-        kvc = t.column("kvc").to_numpy()
-        cur = t.column("cur").to_numpy().astype(np.int64)
-        k = t.column("k").to_numpy()
-        tot_cand = t.column("tot_cand").to_numpy()
-        tot_cur = t.column("tot_cur").to_numpy()
-        g = kvc - k * (tot_cand - np.where(c == cur, k, 0.0)) / two_m
-        o = np.lexsort((c, -g, n))
-        n3, c3, g3 = n[o], c[o], g[o]
-        first = np.r_[0, np.flatnonzero(np.diff(n3) != 0) + 1]
-        best_n, best_c, best_g = n3[first], c3[first], g3[first]
-        cur_b = cur[o][first]
-        stay = -k[o][first] * (tot_cur[o][first] - k[o][first]) / two_m
-        is_cur = c == cur
-        if is_cur.any():
-            pos = np.searchsorted(best_n, n[is_cur])
-            stay[pos] = g[is_cur]
-        do = (best_g > stay + 1e-15) & (best_c != cur_b)
-        return pa.table({"mnode": pa.array(best_n[do]),
-                         "new_lab": pa.array(best_c[do])})
-    return fn
-
-
-def _louvain_large(graph: Graph, edges, two_m: float, max_rounds: int,
-                   num_partitions: int):
-    """Billion-vertex route: labels/degrees/totals stay Datasets; the
-    round is hash joins + groupbys + coarse-hashed vectorized argmax
-    kernels. Nothing O(V) or O(E) touches the driver (per-round driver
-    traffic is one small count)."""
-    from .._util import agg_by_int_keys
-
-    labels = ray.data.range(graph.V).map_batches(
-        lambda t: pa.table({"node": t.column("id"),
-                            "cur": t.column("id")}),
-        batch_format="pyarrow").materialize()
-    k_ds = agg_by_int_keys(edges, ["src_id"], "weight", "k",
-                           n_coarse=4 * num_partitions) \
-        .rename_columns({"src_id": "knode"}).materialize()
-    return _local_moving_join(labels, edges, k_ds, two_m, max_rounds,
-                              num_partitions) \
-        .rename_columns({"cur": "community"})
-
-
-def _local_moving_join(labels, edges, k_ds, two_m: float, max_rounds: int,
-                       num_partitions: int):
-    """Synchronous local-moving rounds entirely as Dataset joins —
-    shared by the level-1 join route and the distributed contracted
-    levels of multilevel Louvain.
-
-    ``labels``: Dataset(node, cur), materialized, covering every node
-    (node ids may be sparse — e.g. community ids on contracted levels);
-    ``edges``: Dataset(src_id, dst_id, weight), both directions,
-    SELF-LOOPS EXCLUDED (they cancel from every gain comparison);
-    ``k_ds``: Dataset(knode, k) — weighted degrees INCLUDING self-loop
-    weight. Returns the final Dataset(node, cur). Nothing O(V) or O(E)
-    ever touches the driver (per-round driver traffic is one count)."""
-    from .._util import drop_empty_blocks
-
-    G_COARSE = 4 * num_partitions
-
-    def add_gkey(t: pa.Table) -> pa.Table:
-        from .._util import _strip_schema_meta
-        gk = t.column("node").to_numpy() % G_COARSE
-        return _strip_schema_meta(
-            t.append_column("gkey", pa.array(gk.astype(np.int64))))
-
-    # every join input is scrubbed of empty blocks: map stages forward
-    # SCHEMA-LESS empty blocks that make pyarrow's hash join fail with
-    # "No match for key field reference" when one lands in a partition
-    # (drop_empty_blocks docstring) — on contracted graphs with few
-    # nodes most shuffle partitions are empty, so this is load-bearing
-    # here, not belt-and-braces
-    edges = drop_empty_blocks(edges)
-    labels = drop_empty_blocks(labels)
-    k_ds = drop_empty_blocks(k_ds)
-
-    from .._util import agg_by_int_keys
-
-    def _agg_ne(ds, keys, val, out):
-        """coarse-kernel aggregate over a join output (native
-        per-group aggregation is O(groups) Python; empty schema-less
-        join blocks are scrubbed first)."""
-        return agg_by_int_keys(drop_empty_blocks(ds), keys, val, out,
-                               n_coarse=4 * num_partitions)
-
-    for _ in range(max_rounds):
-        # community totals: tot(c) = sum of member degrees
-        tot = drop_empty_blocks(
-            _agg_ne(labels.join(k_ds, "inner",
-                                num_partitions=num_partitions,
-                                on=("node",), right_on=("knode",)),
-                    ["cur"], "k", "tot")
-            .rename_columns({"cur": "comm"}).materialize())
-        # k_{v,c}: one edge pass joined to the dst labels
-        kvc = _agg_ne(edges.join(
-            labels, "inner", num_partitions=num_partitions,
-            on=("dst_id",), right_on=("node",)),
-            ["src_id", "cur"], "weight", "kvc") \
-            .rename_columns({"src_id": "node", "cur": "cand"})
-        # decorate with own label, degree, tot(cand), tot(cur)
-        j = drop_empty_blocks(kvc).join(
-            labels, "inner", num_partitions=num_partitions, on=("node",))
-        j = drop_empty_blocks(j).join(
-            k_ds, "inner", num_partitions=num_partitions,
-            on=("node",), right_on=("knode",))
-        j = drop_empty_blocks(j).join(
-            tot.rename_columns({"comm": "cand_comm", "tot": "tot_cand"}),
-            "inner", num_partitions=num_partitions,
-            on=("cand",), right_on=("cand_comm",))
-        j = drop_empty_blocks(j).join(
-            tot.rename_columns({"comm": "cur_comm", "tot": "tot_cur"}),
-            "inner", num_partitions=num_partitions,
-            on=("cur",), right_on=("cur_comm",))
-        moves = (j.map_batches(add_gkey, batch_format="pyarrow")
-                 .groupby("gkey")
-                 .map_groups(_decide_kernel(two_m),
-                             batch_format="pyarrow")).materialize()
-        if moves.count() == 0:
-            break
-        labels = drop_empty_blocks(
-            labels.join(drop_empty_blocks(moves), "left_outer",
-                        num_partitions=num_partitions,
-                        on=("node",), right_on=("mnode",))
-            .map_batches(_coalesce_moves, batch_format="pyarrow")
-            .materialize())
-
-    return labels
-
-
-def _contracted_moving_join(ct_ds, two_m: float, max_rounds: int,
-                            num_partitions: int):
-    """Distributed local moving over a CONTRACTED community graph held
-    as a Dataset(ca, cb, weight) — both directions, self rows carrying
-    the intra-community weight. Used when the contracted edge table is
-    still above LOCAL_EDGES_MAX (VERDICT r3 item 1: the contraction
-    must never be collected to the driver unconditionally). Super-node
-    degrees come from a distributed groupby (self rows INCLUDED — they
-    are each community's internal weight, already counted twice by the
-    symmetric layout, exactly the k_c the local tier computes); the
-    moving itself reuses the join-route rounds over community-id nodes.
-    Returns Dataset(mcomm, new_comm), or None if every contracted edge
-    is a self-loop."""
-    from .._util import drop_empty_blocks
-
-    from .._util import agg_by_int_keys
-    k_ds = agg_by_int_keys(ct_ds, ["ca"], "weight", "k",
-                           n_coarse=4 * num_partitions) \
-        .rename_columns({"ca": "knode"}).materialize()
-    labels = k_ds.map_batches(
-        lambda t: pa.table({"node": t.column("knode"),
-                            "cur": t.column("knode")}),
-        batch_format="pyarrow").materialize()
-
-    def nonself(t: pa.Table) -> pa.Table:
-        m = t.column("ca").to_numpy() != t.column("cb").to_numpy()
-        t2 = t.filter(pa.array(m))
-        return pa.table({"src_id": t2.column("ca"),
-                         "dst_id": t2.column("cb"),
-                         "weight": t2.column("weight")})
-
-    edges = ct_ds.map_batches(nonself, batch_format="pyarrow").materialize()
-    if edges.count() == 0 or drop_empty_blocks(edges) is None:
-        return None
-    labs = _local_moving_join(labels, edges, k_ds, two_m, max_rounds,
-                              num_partitions)
-    return labs.rename_columns(
-        {"node": "mcomm", "cur": "new_comm"}).materialize()
-
-
-def _moved_only(t: pa.Table) -> pa.Table:
-    """Keep move-map rows that actually change the label."""
-    m = t.column("mcomm").to_numpy() != t.column("new_comm").to_numpy()
-    return t.filter(pa.array(m))
-
-
-def _apply_move_map(lab_ds, move_map, num_partitions: int):
-    """(node, community) ⟕ (mcomm, new_comm) on community; communities
-    absent from the map (edgeless singletons) keep their label."""
-    import pyarrow.compute as pc
-    from .._util import drop_empty_blocks
-
-    def coalesce(t: pa.Table) -> pa.Table:
-        new = t.column("new_comm")
-        return pa.table({
-            "node": t.column("node"),
-            "community": pc.if_else(pc.is_null(new),
-                                    t.column("community"), new)})
-
-    return drop_empty_blocks(lab_ds).join(
-        drop_empty_blocks(move_map), "left_outer",
-        num_partitions=num_partitions,
-        on=("community",), right_on=("mcomm",)) \
-        .map_batches(coalesce, batch_format="pyarrow").materialize()
-
-
-def louvain_multilevel(graph: Graph, levels: int = 2,
-                       max_rounds: int = 10,
-                       large_graph: bool | None = None,
-                       num_partitions: int | None = None):
-    """Hierarchical Louvain: level 1 = distributed local moving
-    (:func:`louvain_communities`, broadcast or join route), then
-    repeatedly CONTRACT communities into super-nodes and re-run local
-    moving on the contracted graph — the aggregation phase the
-    reference's sequential optimizer iterates
-    (HGModularityOptimizer.java; our phase-1 deviation is documented in
-    the module docstring).
-
-    The contraction itself is distributed (edges ⋈ labels on both
-    endpoints + groupby(ca, cb) Sum), and the CONTRACTED edge table is
-    only collected to the driver when it holds ≤ LOCAL_EDGES_MAX rows
-    (the usual case — the first level shrinks the graph by orders of
-    magnitude); when a level barely contracts (near-bipartite graphs,
-    heavy hubs) the moving continues fully distributed over the
-    contracted Dataset (``_contracted_moving_join``), so nothing O(E)
-    ever reaches the driver on any route. Self-edges (intra-community
-    weight) enter the super-node degrees but are excluded from the gain
-    pass, where they cancel exactly. Community ids stay in
-    original-node-id space at every level.
-
-    Edge sets at/below LOCAL_EDGES_MAX skip the actor-pool joins: the
-    labels and edges are collected once and the contraction + label
-    update run as driver numpy (identical lexsort/reduceat math; each
-    join pool otherwise costs seconds of fixed startup per level).
-
-    -> Dataset(node, community)."""
-    from .._util import drop_empty_blocks
-
-    if num_partitions is None:
-        # a join's aggregator pool needs num_partitions live actors —
-        # more than the session's CPUs deadlocks a small cluster
-        num_partitions = max(2, min(
-            32, int(ray.cluster_resources().get("CPU", 8))))
-    lab_ds = louvain_communities(graph, max_rounds, large_graph,
-                                 num_partitions).materialize()
-    edges = _edges_both_ds(graph).materialize()
-    local = edges.count() <= LOCAL_EDGES_MAX
-    if local:
-        # local tier: two_m from the collected weights (skips the
-        # Dataset-sum job — identical float: same block order)
-        et = _collect(edges)
-        if et is None:
-            return lab_ds
-        two_m = float(et.column("weight").to_numpy().sum())
-    else:
-        two_m = float(edges.sum("weight") or 0.0)
-    if two_m == 0:
-        return lab_ds
-
-    if local:
-        lt = _collect(lab_ds)
-        les = et.column("src_id").to_numpy().astype(np.int64)
-        led = et.column("dst_id").to_numpy().astype(np.int64)
-        lew = et.column("weight").to_numpy()
-        lnodes = lt.column("node").to_numpy().astype(np.int64)
-        lcomm = lt.column("community").to_numpy().astype(np.int64).copy()
-        node_pos = np.empty(int(lnodes.max()) + 1 if len(lnodes) else 0,
-                            dtype=np.int64)
-        node_pos[lnodes] = np.arange(len(lnodes))
-
-    for _lvl in range(1, levels):
-        if local:
-            # driver-side contraction: groupby (ca, cb) sum via
-            # lexsort/reduceat over the (small) collected edge list
-            eca = lcomm[node_pos[les]]
-            ecb = lcomm[node_pos[led]]
-            if len(eca) == 0:
-                break
-            oc = np.lexsort((ecb, eca))
-            sa, sb, sw = eca[oc], ecb[oc], lew[oc]
-            runs = np.r_[0, np.flatnonzero((np.diff(sa) != 0) |
-                                           (np.diff(sb) != 0)) + 1]
-            ca, cb = sa[runs], sb[runs]
-            cw = np.add.reduceat(sw, runs)
-        else:
-            e1 = drop_empty_blocks(edges).join(
-                lab_ds.rename_columns({"node": "snode", "community": "ca"}),
-                "inner", num_partitions=num_partitions,
-                on=("src_id",), right_on=("snode",))
-            e2 = drop_empty_blocks(e1).join(
-                lab_ds.rename_columns({"node": "dnode", "community": "cb"}),
-                "inner", num_partitions=num_partitions,
-                on=("dst_id",), right_on=("dnode",))
-            from .._util import agg_by_int_keys
-            ct_ds = agg_by_int_keys(
-                drop_empty_blocks(e2), ["ca", "cb"], "weight", "weight",
-                n_coarse=4 * num_partitions).materialize()
-            n_ct = ct_ds.count()                 # metadata-only
-            if n_ct == 0:
-                break
-            if n_ct > LOCAL_EDGES_MAX:
-                # contraction barely shrank the graph: stay DISTRIBUTED
-                # (VERDICT r3 item 1 — never collect an O(E) contracted
-                # table to the driver). The contracted moving runs the
-                # same join-route rounds over community-id nodes.
-                move_map = _contracted_moving_join(
-                    ct_ds, two_m, max_rounds, num_partitions)
-                if move_map is None:
-                    break
-                moved = move_map.map_batches(
-                    _moved_only, batch_format="pyarrow").count()
-                if moved == 0:
-                    break
-                lab_ds = _apply_move_map(lab_ds, move_map,
-                                         num_partitions)
-                continue
-            ct = _collect(ct_ds)
-            ca = ct.column("ca").to_numpy().astype(np.int64)
-            cb = ct.column("cb").to_numpy().astype(np.int64)
-            cw = ct.column("weight").to_numpy()
-        uniq = np.unique(np.r_[ca, cb])          # communities WITH edges
-        nc = len(uniq)
-        da, db = np.searchsorted(uniq, ca), np.searchsorted(uniq, cb)
-        # super-node degree includes the self-loop (intra) weight
-        k_c = np.bincount(da, weights=cw, minlength=nc)
-        nonself = da != db
-        if not nonself.any():
-            break
-        n_ns = int(nonself.sum())
-        if local or n_ns <= LOCAL_EDGES_MAX:
-            # contracted arrays are already on the driver: skip the
-            # object-store round-trip and hand them to the local tier
-            contracted = (da[nonself], db[nonself], cw[nonself])
-        else:
-            contracted = ray.data.from_arrow(pa.table({
-                "src_id": pa.array(da[nonself]),
-                "dst_id": pa.array(db[nonself]),
-                "weight": pa.array(cw[nonself])}))
-        labs2 = _local_moving_bcast(
-            contracted, nc, k_c, two_m, max_rounds,
-            small_edges=n_ns <= 5_000_000)
-        if (labs2 == np.arange(nc)).all():
-            break                                 # nothing merged
-        if local:
-            # edgeless singleton communities are absent from uniq: keep
-            # their label (same semantics as the left_outer + coalesce)
-            pos = np.searchsorted(uniq, lcomm)
-            pos_c = np.minimum(pos, nc - 1)
-            hit = uniq[pos_c] == lcomm
-            lcomm = np.where(hit, uniq[labs2][pos_c], lcomm)
-            continue
-        move_map = ray.data.from_arrow(pa.table({
-            "mcomm": pa.array(uniq),
-            "new_comm": pa.array(uniq[labs2])}))
-        lab_ds = _apply_move_map(lab_ds, move_map, num_partitions)
-
-    if local:
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array(lnodes),
-            "community": pa.array(lcomm.astype(np.int64))}))
-    return lab_ds
+    moving (``louvain_multilevel`` with ``levels=1``)."""
+    return louvain_multilevel(graph, 1, max_rounds)

@@ -219,12 +219,9 @@ class Graph:
     def ensure_mode(self, mode: str):
         if mode == "out" or mode in self.meta["edge_counts"]:
             return
-        if mode == "both":
-            _build_both_mode(self)
-        elif mode == "in":
-            _build_in_mode(self)
-        else:
+        if mode not in ("in", "both"):
             raise ValueError(f"unknown edge mode {mode!r}")
+        _build_mode(self, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -573,79 +570,51 @@ def _write_partition_files(parted_ds, out_dir: str, weight_col: str | None,
     return int(sum(r["count"] for r in rows))
 
 
-def _build_in_mode(g: Graph):
-    """Reverse-adjacency layout (edges_in/): every canonical directed
-    edge stored once as (dst, src), partitioned by the new src — gives
-    programs an IN-edge CSR (SubGraphMatch walks query edges in both
-    orientations, SubGraphMatch.sendMessage:151-160 edge.isInverse)."""
-    files = [g.edges_path("out", p) for p in range(g.P)
-             if os.path.exists(g.edges_path("out", p))]
-    part_size = g.part_size
-    out_dir = os.path.join(g.dir, "edges_in")
-    has_w = g.meta.get("weight_col") is not None
-    cols = ["src_id", "dst_id"] + (["weight"] if has_w else [])
+def _build_mode(g: Graph, mode: str):
+    """A derived edge layout from the directed canonical one, in one
+    shuffle, cached under edges_<mode>/:
 
-    def rev(batch: pa.Table) -> pa.Table:
-        s = batch.column("src_id").to_numpy()
-        d = batch.column("dst_id").to_numpy()
-        out = {"src_id": pa.array(d, type=pa.int64()),
-               "dst_id": pa.array(s, type=pa.int64()),
-               "part": pa.array(d // part_size, type=pa.int64())}
-        if has_w:
-            out["weight"] = batch.column("weight")
-        return pa.table(out)
-
-    if files:
-        ds = ray.data.read_parquet(files, columns=cols)
-        n = _write_partition_files(ds.map_batches(rev, batch_format="pyarrow"),
-                                   out_dir, "weight" if has_w else None,
-                                   properties_merge=g.meta.get(
-                                       "properties_merge", "min"))
-    else:
-        os.makedirs(out_dir, exist_ok=True)
-        n = 0
-    g.meta["edge_counts"]["in"] = n
-    g.save_meta()
-
-
-def _build_both_mode(g: Graph):
-    """Symmetrized (undirected) edge layout from the directed canonical one.
-
-    The reference gets undirected semantics by loading each edge in both
-    directions (``input.vertex_with_edges_bothdirection``,
-    /root/reference/computer-core/.../config/ComputerOptions.java:933-939);
-    here it is one extra shuffle over the already-canonical directed edges,
-    cached under edges_both/.
+    * ``in``: the reverse adjacency. Every canonical edge is stored once
+      as (dst, src), partitioned by the new src, which gives programs an
+      IN-edge CSR (SubGraphMatch walks query edges in both orientations,
+      SubGraphMatch.sendMessage:151-160 edge.isInverse).
+    * ``both``: the symmetrized (undirected) layout, every edge in both
+      directions. The reference gets undirected semantics by loading
+      each edge in both directions (``input.vertex_with_edges_bothdirection``,
+      reference computer-core/.../config/ComputerOptions.java:933-939).
     """
     files = [g.edges_path("out", p) for p in range(g.P)
              if os.path.exists(g.edges_path("out", p))]
     part_size = g.part_size
-    out_dir = os.path.join(g.dir, "edges_both")
+    out_dir = os.path.join(g.dir, f"edges_{mode}")
     has_w = g.meta.get("weight_col") is not None
     cols = ["src_id", "dst_id"] + (["weight"] if has_w else [])
 
-    def sym(batch: pa.Table) -> pa.Table:
+    def orient(batch: pa.Table) -> pa.Table:
         s = batch.column("src_id").to_numpy()
         d = batch.column("dst_id").to_numpy()
-        src = np.concatenate([s, d])
-        dst = np.concatenate([d, s])
-        part = src // part_size
-        out = {"src_id": pa.array(src, type=pa.int64()),
-               "dst_id": pa.array(dst, type=pa.int64()),
-               "part": pa.array(part, type=pa.int64())}
+        w = batch.column("weight").to_numpy() if has_w else None
+        if mode == "in":
+            s, d = d, s
+        else:
+            s, d = np.concatenate([s, d]), np.concatenate([d, s])
+            w = None if w is None else np.concatenate([w, w])
+        out = {"src_id": pa.array(s, type=pa.int64()),
+               "dst_id": pa.array(d, type=pa.int64()),
+               "part": pa.array(s // part_size, type=pa.int64())}
         if has_w:
-            w = batch.column("weight").to_numpy()
-            out["weight"] = pa.array(np.concatenate([w, w]))
+            out["weight"] = pa.array(w)
         return pa.table(out)
 
     if files:
         ds = ray.data.read_parquet(files, columns=cols)
-        n = _write_partition_files(ds.map_batches(sym, batch_format="pyarrow"),
+        n = _write_partition_files(ds.map_batches(orient,
+                                                  batch_format="pyarrow"),
                                    out_dir, "weight" if has_w else None,
                                    properties_merge=g.meta.get(
                                        "properties_merge", "min"))
     else:
         os.makedirs(out_dir, exist_ok=True)
         n = 0
-    g.meta["edge_counts"]["both"] = n
+    g.meta["edge_counts"][mode] = n
     g.save_meta()

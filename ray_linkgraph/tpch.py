@@ -273,8 +273,9 @@ def q_subgraph(sf_dir: str) -> pa.Table:
 
 
 def q_louvain(sf_dir: str) -> pa.Table:
-    """Distributed Louvain-style one-level local moving (the reference's
-    Louvain is single-process by design — louvain.py docstring)."""
+    """One level of Louvain-style synchronous local moving on the
+    partition actors (the reference's Louvain is single-process by
+    design — louvain.py docstring)."""
     from ray_linkgraph.algorithms.louvain import louvain_communities
     g = gate_graph(sf_dir)
     nm = _node_map(g)
@@ -286,8 +287,9 @@ def q_louvain(sf_dir: str) -> pa.Table:
 
 
 def q_louvain_ml(sf_dir: str) -> pa.Table:
-    """Hierarchical (2-level) Louvain: distributed local moving +
-    community contraction (algorithms/louvain.py louvain_multilevel)."""
+    """Hierarchical (2-level) Louvain: level 2 moves level 1's
+    communities as super-nodes over the original edges
+    (algorithms/louvain.py louvain_multilevel)."""
     from ray_linkgraph.algorithms.louvain import louvain_multilevel
     g = gate_graph(sf_dir)
     nm = _node_map(g)
@@ -829,7 +831,9 @@ lv0 AS MATERIALIZED (SELECT v.node, v.node AS lab,
 def sql_louvain(rounds: int = LOUVAIN_ROUNDS) -> str:
     """Unrolled synchronous one-level local moving, bit-identical to
     algorithms/louvain.py (weights/sums are exact small integers in
-    float64, so gains and ties replicate exactly)."""
+    float64, so gains and ties replicate exactly; a vertex without a
+    k_{v,cur} row stays with the closed-form gain, as the engine's
+    k_{s,c} = 0 staying row does)."""
     parts = [SQL_BASE.rstrip(), _SQL_LOUVAIN_BASE]
     for r in range(rounds):
         parts.append(_sql_louvain_round(r, "", "ubw"))
@@ -840,11 +844,14 @@ def sql_louvain(rounds: int = LOUVAIN_ROUNDS) -> str:
 
 def sql_louvain_ml(rounds: int = LOUVAIN_ROUNDS) -> str:
     """Multilevel (2-level) replica of louvain_multilevel: the level-1
-    chain, then COMMUNITY CONTRACTION (super-node degrees include the
-    intra-community self-loop weight; the gain pass excludes
-    self-edges, where it cancels exactly) and the same unrolled
-    local-moving rounds over the contracted graph; communities without
-    any edges keep their level-1 label."""
+    chain, then COMMUNITY CONTRACTION and the same unrolled local-moving
+    rounds over the contracted graph; communities without any edges
+    keep their level-1 label. The contraction is the engine's super-node
+    map: a contracted node is a level-1 community (the engine's
+    sup(v)), its degree includes the intra-community self-loop weight
+    (K(s), the sum of its members' k_v), and the gain pass excludes
+    self-edges, where it cancels exactly (the engine skips edges with
+    sup(u) = sup(v))."""
     parts = [SQL_BASE.rstrip(), _SQL_LOUVAIN_BASE]
     for r in range(rounds):
         parts.append(_sql_louvain_round(r, "", "ubw"))

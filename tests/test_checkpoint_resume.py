@@ -272,3 +272,41 @@ def test_dictionary_encoded_checkpoint_resumes(graph, work_dir):
     a = full.to_arrow().to_pandas().sort_values("v_id")["rank"].to_numpy()
     b = resumed.to_arrow().to_pandas().sort_values("v_id")["rank"].to_numpy()
     assert (a == b).all()
+
+
+def test_louvain_resume_inside_level_two(graph, work_dir):
+    """A two-level Louvain run cut inside level 2 (after its start step,
+    and after a total step whose outgoing rows live in the state)
+    resumes to the uninterrupted run's labels; a different horizon is
+    refused."""
+    from ray_linkgraph.algorithms.louvain import LouvainProgram
+    from ray_linkgraph.engine import run_program
+
+    def run(ck=None, resume=False, steps=62):
+        return run_program(graph, LouvainProgram(2, 10), max_supersteps=steps,
+                           checkpoint_dir=ck, resume=resume)
+
+    def labels(res):
+        return res.to_arrow().sort_by("v_id")["community"].to_pylist()
+
+    full = run()
+    ck = os.path.join(work_dir, "ck_louvain")
+    run(ck)
+    phase = {}
+    for f in glob.glob(os.path.join(ck, "manifest_*.json")):
+        with open(f) as fh:
+            g = json.load(fh)["globals_next"]
+        if g["level"] == 2:
+            phase[g["sent"]] = min(phase.get(g["sent"], 99),
+                                   int(os.path.basename(f)[9:14]))
+    assert {"start", "total"} <= set(phase)
+    for i, cut in enumerate((phase["start"], phase["total"])):
+        ck_cut = os.path.join(work_dir, f"ck_louvain_cut{i}")
+        shutil.copytree(ck, ck_cut)
+        _truncate(ck_cut, cut)
+        if i == 0:
+            with pytest.raises(ValueError, match="max_supersteps"):
+                run(ck_cut, resume=True, steps=63)
+        res = run(ck_cut, resume=True)
+        assert res.supersteps == full.supersteps
+        assert labels(res) == labels(full)

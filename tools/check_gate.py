@@ -3,9 +3,15 @@ queries() entry and its oracle_sql() side by side, compare row count,
 column names, and order-insensitive values (exact on ints/strings,
 bit-exact on the rounded floats both sides emit).
 
-Usage: python tools/check_gate.py [sf_dir]
+Usage: python tools/check_gate.py [sf_dir] [--only a,b] [--reps N]
+
+``--only`` runs just the named queries; ``--reps N`` (N >= 2) runs each
+query N times in one Ray runtime and prints every rep's seconds and
+the median of the warm reps (all but the first). The first rep's result
+is the one checked.
 """
 
+import argparse
 import logging
 import os
 import sys
@@ -36,7 +42,13 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def main():
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
+    ap = argparse.ArgumentParser()
+    ap.add_argument("sf_dir", nargs="?", default="/root/testdata/sf0.001")
+    ap.add_argument("--only", default=None,
+                    help="comma-separated query names (default: all)")
+    ap.add_argument("--reps", type=int, default=1)
+    args = ap.parse_args()
+    sf_dir = args.sf_dir
     import ray
     ray.init(address="local", num_cpus=8, include_dashboard=False,
              logging_level="ERROR")
@@ -52,12 +64,29 @@ def main():
         con.execute(f"CREATE OR REPLACE VIEW {t} AS SELECT * FROM "
                     f"read_parquet('{sf_dir}/{t}.parquet')")
 
+    if args.only:
+        names = args.only.split(",")
+        unknown = [n for n in names if n not in qs]
+        if unknown:
+            sys.exit(f"unknown queries: {unknown}")
+        qs = {n: qs[n] for n in names}
+
     failures = 0
     for name, fn in qs.items():
         import time
         t0 = time.time()
         try:
-            mine = canon(to_df(fn(sf_dir)))
+            res = to_df(fn(sf_dir))
+            secs = [time.time() - t0]
+            for _ in range(args.reps - 1):
+                t1 = time.time()
+                to_df(fn(sf_dir))
+                secs.append(time.time() - t1)
+            mine = canon(res)
+            if args.reps > 1:
+                print(f"time  {name}: reps " +
+                      " ".join(f"{x:.3f}" for x in secs) +
+                      f" s; warm median {np.median(secs[1:]):.3f} s")
         except Exception as e:
             print(f"FAIL  {name}: query raised {type(e).__name__}: {e}")
             failures += 1
