@@ -10,6 +10,7 @@ SURVEY.md §2.7).
 from __future__ import annotations
 
 import numpy as np
+import ray
 
 _U64 = np.uint64
 
@@ -154,24 +155,67 @@ def agg_by_int_keys(ds, keys: list, val: str, out_val: str,
             .select_columns(list(keys) + [out_val]))
 
 
-def drop_empty_blocks(ds):
-    """Rebuild ``ds`` without empty blocks (metadata-only check, blocks
-    stay in the object store).
+def block_refs(ds) -> list:
+    """Materialize ``ds``; the object refs of its non-empty blocks, in
+    block order (metadata-only check, blocks stay in the object store).
 
     Ray 2.49 ``map_batches`` skips the UDF on empty input blocks and
-    forwards schema-LESS empty blocks; pyarrow's join then fails with
-    "No match ... for key field reference" when such a block lands in a
-    hash partition. Call this on any map output that feeds a join.
-    Materializes the dataset; returns None if every block is empty.
-    """
-    import ray
+    forwards schema-LESS empty blocks, which no column access survives."""
+    return [ref for bundle in ds.materialize().iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
+
+
+def drop_empty_blocks(ds):
+    """Rebuild ``ds`` without empty blocks. pyarrow's join fails with
+    "No match ... for key field reference" when a schema-less empty
+    block lands in a hash partition, so call this on any map output that
+    feeds a join. Returns None if every block is empty."""
     import ray.data
 
-    refs = []
-    for bundle in ds.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows:
-                refs.append(ref)
-    if not refs:
-        return None
-    return ray.data.from_arrow_refs(refs)
+    refs = block_refs(ds)
+    return ray.data.from_arrow_refs(refs) if refs else None
+
+
+@ray.remote
+def _split_task(split, G: int, block):
+    """``split(block) -> (table, group ids in [0, G))``; the table's rows
+    cut into G slices by group, each slice in row order. One stable
+    radix sort of the ids (uint16 below 2^16 groups) and zero-copy
+    slices; Ray ships only each slice's bytes."""
+    t, g = split(block)
+    g = np.asarray(g, dtype=np.int64)
+    ends = np.cumsum(np.bincount(g, minlength=G))
+    if len(g) and (g[1:] < g[:-1]).any():
+        order = np.argsort(g.astype(np.uint16) if G <= 1 << 16 else g,
+                           kind="stable")
+        t = t.take(order)
+    starts = np.r_[0, ends[:-1]]
+    out = tuple(t.slice(int(a), int(b - a)) for a, b in zip(starts, ends))
+    return out if G > 1 else out[0]
+
+
+@ray.remote
+def _merge_task(merge, g: int, *slices):
+    return merge(g, list(slices))
+
+
+def exchange(blocks: list, split, merge, G: int) -> list:
+    """The one task-level shuffle: every block is split into G groups
+    by ``split`` in one task (``num_returns=G``), then one task per
+    group runs ``merge(g, slices)`` over its slices, one per block in
+    block order (empty slices keep the split table's schema). Returns
+    the G merge results' object refs, in group order.
+
+    Replaces Ray Data's ``groupby().map_groups``, a SORT-based shuffle
+    with two barriers and 30-120 ms of fixed cost per execution
+    (measured 46 s for the 38M-row band table of a 600k-doc corpus at
+    4 cpus, 56% of the whole clean_corpus wall): here there is no sort
+    and one exchange, with the same co-location guarantee (rows of one
+    group meet in one merge task). ``blocks`` are object refs or plain
+    arguments (a file path) that ``split`` turns into a table."""
+    parts = [_split_task.options(num_returns=G).remote(split, G, b)
+             for b in blocks]
+    if G == 1:
+        parts = [[p] for p in parts]
+    return [_merge_task.remote(merge, g, *[p[g] for p in parts])
+            for g in range(G)]

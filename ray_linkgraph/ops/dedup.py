@@ -333,51 +333,27 @@ def _n_pair_groups() -> int:
                4 * int(ray.cluster_resources().get("CPU", 8)))
 
 
-@ray.remote
-def _split_block(tbl: pa.Table, key_col: str, G: int):
-    """One vectorized pass: split a block into G sub-tables by coarse
-    key hash (argsort + searchsorted slices)."""
-    from .._util import hash_u64
-    k = tbl.column(key_col).to_numpy().astype(np.uint64)
-    g = (hash_u64(k) % np.uint64(G)).astype(np.int64)
-    order = np.argsort(g, kind="stable")
-    gs = g[order]
-    bounds = np.searchsorted(gs, np.arange(1, G + 1, dtype=np.int64))
-    starts = np.r_[0, bounds[:-1]]
-    tt = tbl.take(pa.array(order))
-    return tuple(tt.slice(int(a), int(b - a))
-                 for a, b in zip(starts, bounds))
-
-
-@ray.remote
-def _gen_group(gen_fn, *subs):
-    return gen_fn(pa.concat_tables(subs).combine_chunks())
-
-
 def _hash_exchange_groups(ds, key_col: str, gen, G: int | None = None):
-    """Manual hash exchange replacing ``groupby(_g).map_groups`` for
-    the candidate-pair shuffles. Ray's groupby is a SORT-based shuffle
-    — a full O(n log n) sort with two barriers; measured 46 s for the
-    38M-row band table of a 600k-doc corpus at 4 cpus, 56% of the whole
-    clean_corpus wall. Here each materialized block is split by coarse
-    key hash in one vectorized pass (B×G small objects) and ``gen``
-    runs once per group over its sub-blocks — no sort, one exchange,
-    same co-location guarantee (equal keys meet in one group task)."""
+    """``gen`` once per coarse-hash group of ``key_col`` over the rows of
+    ``ds`` (equal keys meet in one group), through ``_util.exchange``
+    instead of Ray's sort-based ``groupby(_g).map_groups``."""
+    from .._util import block_refs, exchange, hash_u64
     if G is None:
         G = _n_pair_groups()
-    ds = ds.materialize()
-    refs = []
-    for bundle in ds.iter_internal_ref_bundles():
-        refs.extend(r for r, m in bundle.blocks if m.num_rows)
+    refs = block_refs(ds)
     if not refs:
         sch = ds.schema()
         empty = pa.schema(list(zip(sch.names, sch.types))).empty_table()
         return ray.data.from_arrow(gen(empty))
-    parts = [_split_block.options(num_returns=G).remote(r, key_col, G)
-             for r in refs]
-    outs = [_gen_group.remote(gen, *[p[g] for p in parts])
-            for g in range(G)]
-    return ray.data.from_arrow_refs(outs)
+
+    def split(t: pa.Table):
+        k = t.column(key_col).to_numpy().astype(np.uint64)
+        return t, hash_u64(k) % np.uint64(G)
+
+    def merge(g: int, subs: list) -> pa.Table:
+        return gen(pa.concat_tables(subs).combine_chunks())
+
+    return ray.data.from_arrow_refs(exchange(refs, split, merge, G))
 
 
 def _band_pairs(bands_ds):

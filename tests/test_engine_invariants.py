@@ -497,6 +497,10 @@ def _exchanges(draw):
     msgs = list(zip(rng.integers(0, P, n).tolist(),
                     rng.integers(0, V, n).tolist(), vals, labels,
                     rng.integers(0, 3, n).tolist(), ids))
+    if draw(st.booleans()):
+        # every sender emits in dst order, as LouvainProgram does: the
+        # slices reach precombine already sorted
+        msgs.sort(key=lambda m: m[1])
     meta = {"V": V, "P": P, "part_size": -(-V // P)}
     return meta, kind, ldtype, msgs
 

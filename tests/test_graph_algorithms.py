@@ -736,3 +736,153 @@ def test_empty_inbox_partitions(tmp_path):
     assert b.num_rows == g.V
     m = subgraph_match(g, [(0, 1), (1, 2)], 3)
     assert m.to_arrow().num_rows >= 1
+
+
+# -- graph build on the task-level exchange ----------------------------------
+
+def _weighted_edges(n=1500, n_urls=300, seed=11):
+    """String edges with self-loops, duplicate (src, dst) pairs of
+    different weights, and weights exact in binary (any merge order
+    gives the same float)."""
+    rng = np.random.default_rng(seed)
+    s = rng.integers(0, n_urls, n)
+    d = rng.integers(0, n_urls, n)
+    s[:40] = d[:40]
+    s, d = np.r_[s, s[:300]], np.r_[d, d[:300]]
+    w = rng.integers(0, 16, len(s)) * 0.25
+    return pa.table({"src": [f"https://h{x % 7}.example/{x}" for x in s],
+                     "dst": [f"https://h{x % 7}.example/{x}" for x in d],
+                     "w": w})
+
+
+def _graph_files(gdir):
+    out = {}
+    for sub in ("dict", "edges_out", "edges_both", "edges_in"):
+        d = os.path.join(gdir, sub)
+        if os.path.isdir(d):
+            for f in sorted(os.listdir(d)):
+                with open(os.path.join(d, f), "rb") as fh:
+                    out[f"{sub}/{f}"] = fh.read()
+    return out
+
+
+def test_range_join_encode_matches_broadcast(tmp_path, monkeypatch):
+    """The range-bucketed encode (V > BROADCAST_DICT_MAX: two exchanges,
+    each merge task joins one dictionary shard) writes the same bytes as
+    the broadcast encode."""
+    import ray_linkgraph.graph as graph
+    t = _weighted_edges()
+    kw = dict(n_parts=3, weight_col="w", properties_merge="sum",
+              limit_edges_per_vertex=5)
+    g1 = build_graph(rd.from_arrow(t).repartition(4), str(tmp_path / "b"),
+                     **kw)
+    monkeypatch.setattr(graph, "BROADCAST_DICT_MAX", 0)
+    g2 = build_graph(rd.from_arrow(t).repartition(4), str(tmp_path / "r"),
+                     **kw)
+    assert g1.V == g2.V > 0 and g1.meta["n_buckets"] == 3
+    assert g1.num_edges("out") == g2.num_edges("out") > 0
+    f1, f2 = _graph_files(g1.dir), _graph_files(g2.dir)
+    assert sum(k.startswith("edges_out/") for k in f1) == 3
+    assert f1 == f2
+
+
+def test_boundary_sample_capped_and_block_independent(tmp_path,
+                                                      monkeypatch):
+    """Past SAMPLE_LIMIT the boundary sample keeps the sampled urls of
+    smallest (hash, sort key), so the boundaries and dictionary shards
+    do not depend on how the edges are cut into blocks."""
+    import ray_linkgraph.graph as graph
+    from ray_linkgraph._util import hash_u64
+    from ray_linkgraph.ops import texthash
+    monkeypatch.setattr(graph, "SAMPLE_LIMIT", 8)
+    t = _weighted_edges(n=3000, n_urls=2000).select(["src", "dst"])
+    g1 = build_graph(rd.from_arrow(t), str(tmp_path / "one"), n_parts=4)
+    cuts = np.linspace(0, t.num_rows, 8).astype(int)
+    ds7 = rd.from_arrow([t.slice(a, b - a) for a, b in zip(cuts, cuts[1:])])
+    assert ds7.materialize().num_blocks() == 7
+    g7 = build_graph(ds7, str(tmp_path / "seven"), n_parts=4)
+    # the expected boundaries, straight from the sampling rule
+    urls = sorted(set(t.column("src").to_pylist())
+                  | set(t.column("dst").to_pylist()))
+    h = hash_u64(texthash.fingerprints(pa.array(urls)).astype(np.uint64))
+    sampled = sorted((int(x), sort_key(u)) for x, u in zip(h, urls)
+                     if x % np.uint64(graph.SAMPLE_MOD) == 0)
+    assert len(sampled) > 8
+    keys = sorted(k for _, k in sampled[:8])
+    want = [keys[int(8 * b / 4)].hex() for b in range(1, 4)]
+    assert g1.meta["boundaries_hex"] == g7.meta["boundaries_hex"] == want
+    f1, f7 = _graph_files(g1.dir), _graph_files(g7.dir)
+    assert [k for k in f1 if k.startswith("dict/")] == \
+        [f"dict/bucket_{b:05d}.parquet" for b in range(4)]
+    assert f1 == f7
+
+
+def test_build_modes_and_attach_urls_without_ray_data_shuffle(
+        tmp_path, monkeypatch):
+    """Build (weighted, degree-capped), both/in modes and attach_urls at
+    P=3 with Ray Data's groupby disabled: every layout equals a naive
+    numpy build, and attach_urls equals ids_to_urls."""
+    def no_groupby(*a, **k):
+        raise AssertionError("Dataset.groupby called")
+    monkeypatch.setattr(rd.Dataset, "groupby", no_groupby)
+    t = _weighted_edges()
+    K = 4
+    g = build_graph(rd.from_arrow(t).repartition(3), str(tmp_path / "g"),
+                    n_parts=3, weight_col="w", limit_edges_per_vertex=K)
+    g.ensure_mode("both")
+    g.ensure_mode("in")
+    # perfbench reads these stage keys
+    assert set(g.meta["build_stage_secs"]) == {
+        "ingest_materialize", "url_stream", "boundary_sample", "dict_build",
+        "encode_partition_write"}
+
+    urls = sorted(set(t.column("src").to_pylist())
+                  | set(t.column("dst").to_pylist()), key=sort_key)
+    vid = {u: i for i, u in enumerate(urls)}
+    assert g.V == len(urls) and g.ids_to_urls(np.arange(g.V)) == urls
+    s = np.array([vid[u] for u in t.column("src").to_pylist()])
+    d = np.array([vid[u] for u in t.column("dst").to_pylist()])
+    w = t.column("w").to_numpy()
+
+    def naive(s, d, w, cap=None):
+        merged = {}
+        for a, b, x in zip(s.tolist(), d.tolist(), w.tolist()):
+            if a != b:
+                merged[(a, b)] = min(x, merged.get((a, b), x))
+        rows, per_src = [], {}
+        for (a, b) in sorted(merged):
+            per_src[a] = per_src.get(a, 0) + 1
+            if cap is None or per_src[a] <= cap:
+                rows.append((a, b, merged[(a, b)]))
+        return rows
+
+    def layout(mode):
+        rows = []
+        for p in range(g.P):
+            path = g.edges_path(mode, p)
+            if os.path.exists(path):
+                pt = pq.read_table(path)
+                lo, hi = g.part_bounds(p)
+                assert ((pt.column("src_id").to_numpy() >= lo)
+                        & (pt.column("src_id").to_numpy() < hi)).all()
+                rows += list(zip(pt.column("src_id").to_pylist(),
+                                 pt.column("dst_id").to_pylist(),
+                                 pt.column("weight").to_pylist()))
+        return rows
+
+    out = naive(s, d, w, K)
+    assert layout("out") == out and g.num_edges("out") == len(out)
+    os_, od, ow = (np.array(c) for c in zip(*out))
+    both = naive(np.r_[os_, od], np.r_[od, os_], np.r_[ow, ow])
+    assert layout("both") == both and g.num_edges("both") == len(both)
+    assert layout("in") == naive(od, os_, ow)
+    assert g.num_edges("in") == len(out)
+
+    rng = np.random.default_rng(5)
+    ids = rng.permutation(g.V)[: g.V // 2]
+    res = g.attach_urls(rd.from_arrow(
+        pa.table({"v_id": ids, "score": ids * 0.5})).repartition(3))
+    got = res.to_pandas().sort_values("v_id")
+    assert got["v_id"].tolist() == sorted(ids.tolist())
+    assert got["url"].tolist() == g.ids_to_urls(np.sort(ids))
+    assert (got["score"] == got["v_id"] * 0.5).all()
