@@ -340,6 +340,7 @@ def _hash_exchange_groups(ds, key_col: str, gen, G: int | None = None):
     from .._util import block_refs, exchange, hash_u64
     if G is None:
         G = _n_pair_groups()
+    ds = ds.materialize()
     refs = block_refs(ds)
     if not refs:
         sch = ds.schema()
