@@ -266,10 +266,6 @@ def precombine(kind: str, dst_local: np.ndarray, payload: dict):
         return (d2[first], k2[first], v2[first], s2[first])
     if kind not in ("sum", "min", "max", "overwrite", "concat"):
         raise ValueError(kind)
-    if kind == "concat" and not (dst_local[1:] < dst_local[:-1]).any():
-        # already in dst order (LouvainProgram's rows are): the stable
-        # sort would be the identity
-        return (dst_local,) + tuple(payload[k] for k in sorted(payload))
     order = np.argsort(dst_local,
                        kind=None if kind in ("min", "max") else "stable")
     d = dst_local[order]

@@ -29,7 +29,8 @@ edge blocks, and every wide step is one ``_util.exchange`` (a split task
 per block, a merge task per group; no Ray Data sort shuffle) keyed by
 either the url range-bucket (dictionary, big-dictionary encode joins,
 url write-back) or the src vertex partition (edge layouts). The driver
-holds only the capped boundary sample and one count per group, never
+folds the block samples into the capped boundary sample as they arrive
+(at most twice the cap at once) and holds one count per group, never
 the dataset. Above BROADCAST_DICT_MAX the encode join ships only the
 per-bucket dictionary shard into each merge task (range-bucketed merge
 join), never the whole dictionary.
@@ -306,6 +307,15 @@ def _cap_sample(s: pa.Table, limit: int) -> pa.Table:
     return s
 
 
+def _fold_sample(s: pa.Table | None, nxt: pa.Table, limit: int) -> pa.Table:
+    """The capped sample of the distinct rows of ``s`` and ``nxt``.
+    Folding the block samples one at a time gives the cap of their union
+    in any order, and the driver never holds more than 2 x ``limit``
+    rows."""
+    t = nxt if s is None else pa.concat_tables([s, nxt])
+    return _cap_sample(t.group_by(["h", "key"]).aggregate([]), limit)
+
+
 @ray.remote(num_returns=2)
 def _block_urls(block: pa.Table, cols: list, limit: int):
     """One block's distinct urls, and the (hash, sort key) rows of its
@@ -485,14 +495,14 @@ def build_graph(edges_ds, graph_dir: str, n_parts: int,
     submit(edge_refs, ["src", "dst"])
     if extra_url_ds is not None:
         submit(_coalesced(extra_url_ds), ["url"])
-    samples = ray.get(sample_refs)
+    sample, pending = None, sample_refs
+    while pending:
+        [ref], pending = ray.wait(pending, num_returns=1)
+        sample = _fold_sample(sample, ray.get(ref), SAMPLE_LIMIT)
     _mark("url_stream")
 
     # ---- 2. range-bucket boundaries from the capped sample --------------
-    keys = []
-    if samples:
-        s = pa.concat_tables(samples).group_by(["h", "key"]).aggregate([])
-        keys = sorted(_cap_sample(s, SAMPLE_LIMIT).column("key").to_pylist())
+    keys = [] if sample is None else sorted(sample.column("key").to_pylist())
     if len(keys) >= n_buckets:
         idxs = [int(len(keys) * b / n_buckets) for b in range(1, n_buckets)]
         boundaries = [keys[i] for i in idxs]

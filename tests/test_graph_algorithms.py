@@ -790,17 +790,32 @@ def test_boundary_sample_capped_and_block_independent(tmp_path,
                                                       monkeypatch):
     """Past SAMPLE_LIMIT the boundary sample keeps the sampled urls of
     smallest (hash, sort key), so the boundaries and dictionary shards
-    do not depend on how the edges are cut into blocks."""
+    do not depend on how the edges are cut into blocks. The driver folds
+    the block samples one at a time, never holding more than twice the
+    cap."""
     import ray_linkgraph.graph as graph
     from ray_linkgraph._util import hash_u64
     from ray_linkgraph.ops import texthash
     monkeypatch.setattr(graph, "SAMPLE_LIMIT", 8)
+    fold, held = graph._fold_sample, []
+
+    def counted_fold(s, nxt, limit):
+        held.append((0 if s is None else s.num_rows, nxt.num_rows))
+        out = fold(s, nxt, limit)
+        assert out.num_rows <= limit == 8
+        return out
+    monkeypatch.setattr(graph, "_fold_sample", counted_fold)
     t = _weighted_edges(n=3000, n_urls=2000).select(["src", "dst"])
     g1 = build_graph(rd.from_arrow(t), str(tmp_path / "one"), n_parts=4)
     cuts = np.linspace(0, t.num_rows, 8).astype(int)
     ds7 = rd.from_arrow([t.slice(a, b - a) for a, b in zip(cuts, cuts[1:])])
     assert ds7.materialize().num_blocks() == 7
+    held.clear()
     g7 = build_graph(ds7, str(tmp_path / "seven"), n_parts=4)
+    # one fold per block; the blocks' samples together exceed what the
+    # driver ever holds
+    assert len(held) == 7 and max(a + b for a, b in held) <= 16
+    assert sum(b for _, b in held) > 16
     # the expected boundaries, straight from the sampling rule
     urls = sorted(set(t.column("src").to_pylist())
                   | set(t.column("dst").to_pylist()))
