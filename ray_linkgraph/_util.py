@@ -181,15 +181,11 @@ def _split_task(split, G: int, block):
     """``split(block) -> (table, group ids in [0, G))``; the table's rows
     cut into G slices by group, each slice in row order. One stable
     sort of the ids and zero-copy slices; Ray ships only each slice's
-    bytes. Below 2^16 groups the ids sort as uint16, which numpy's
-    stable sort does by radix (4-7x faster than on int64 for 40k-400k
-    ids and 4-32 groups, one core)."""
+    bytes."""
     t, g = split(block)
     g = np.asarray(g, dtype=np.int64)
     ends = np.cumsum(np.bincount(g, minlength=G))
-    order = np.argsort(g.astype(np.uint16) if G <= 1 << 16 else g,
-                       kind="stable")
-    t = t.take(order)
+    t = t.take(np.argsort(g, kind="stable"))
     starts = np.r_[0, ends[:-1]]
     out = tuple(t.slice(int(a), int(b - a)) for a, b in zip(starts, ends))
     return out if G > 1 else out[0]
