@@ -83,7 +83,10 @@ class TriangleProgram(VertexProgram):
         v_g = v + ctx.lo
         up = (deg_u > deg_v) | ((deg_u == deg_v) & (u > v_g))
         v, v_g, u, deg_u = v[up], v_g[up], u[up], deg_u[up]
-        order = np.lexsort((u, deg_u, v))       # N+(v) segments by rank
+        # N+(v) segments by rank: (v, deg_u, u) order from one unstable
+        # sort of a unique key, rank = the position of (deg_u, u)
+        rank = np.unique(deg_u * np.int64(ctx.V) + u, return_inverse=True)[1]
+        order = np.argsort(v * (len(v) + 1) + rank)
         v, v_g, u = v[order], v_g[order], u[order]
         state["nplus"] = np.sort(v_g * np.int64(ctx.V) + u)
         # message i goes to u[i] and lists the rest of its segment

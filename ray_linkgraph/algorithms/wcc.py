@@ -16,6 +16,16 @@ Min over int64 v_ids equals min in the reference's BytesId order
 (length-first byte order) because the dictionary assigns ids in that
 order — see graph.py.
 
+A vertex sends the same value to every neighbor, so the program runs on
+the engine's dense pull: each step publishes one component per vertex
+(I64MAX for the vertices that did not change) and each receiver takes
+the min over its in-edges itself. Superstep 0 publishes every vertex's
+value: "only to neighbors with a larger id" is a sender-side filter that
+cannot change a receiver's ``m < value`` test, since a neighbor value
+below the receiver's value is below its id, so that neighbor sent it in
+the reference too. Only the step-0 message count differs (every edge).
+Superstep 0's neighbor min comes from the same pull block's in-edges.
+
 Per-round values are identical to naive round-synchronous
 min-of-neighbors (the SQL oracle's formulation): a neighbor that did not
 change this round already delivered its value the round it last changed.
@@ -25,42 +35,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine import VertexProgram, run_program
+from ..engine import I64MAX, EdgeScatter, VertexProgram, run_program
 from ..graph import Graph
-
-I64MAX = np.iinfo(np.int64).max
-
-
-def _seg_min(indptr: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Per-vertex min over CSR segments; I64MAX for empty segments."""
-    out = np.full(size, I64MAX, dtype=np.int64)
-    deg = np.diff(indptr)
-    ne = deg > 0
-    if ne.any():
-        starts = indptr[:-1][ne]
-        out[ne] = np.minimum.reduceat(values, starts)
-    return out
 
 
 class WccProgram(VertexProgram):
     combiner = "min"
     mode = "both"
+    dense = True
 
     def init(self, ctx, g):
         return {"component": np.zeros(ctx.size, dtype=np.int64),
                 "changed": np.zeros(ctx.size, dtype=bool)}
 
     def compute0(self, ctx, state, g):
-        indptr, adj, _ = ctx.csr("both")
-        vids = ctx.vids()
-        comp = np.minimum(vids, _seg_min(indptr, adj, ctx.size))
+        src, dst = ctx.in_edges("both")
+        nbr = np.full(ctx.size, I64MAX, dtype=np.int64)
+        np.minimum.at(nbr, dst, src)
+        comp = np.minimum(ctx.vids(), nbr)
         state["component"] = comp
         state["changed"] = np.ones(ctx.size, dtype=bool)
-        # send own value to neighbors with larger id (Wcc.java:52-55)
-        deg = np.diff(indptr)
-        vals = np.repeat(comp, deg)
-        mask = vals < adj
-        return adj[mask], {"val": vals[mask]}, {"changed": int(ctx.size)}
+        return EdgeScatter("both", comp), {}, {"changed": int(ctx.size)}
 
     def compute(self, ctx, state, inbox, g, s):
         comp = state["component"]
@@ -68,24 +63,13 @@ class WccProgram(VertexProgram):
         changed = inbox.mask & (m < comp)
         comp[changed] = m[changed]
         state["changed"] = changed
-        indptr, adj, _ = ctx.csr("both")
-        deg = np.diff(indptr)
-        edge_mask = np.repeat(changed, deg)
-        vals = np.repeat(comp, deg)[edge_mask]
-        return adj[edge_mask], {"val": vals}, {"changed": int(changed.sum())}
+        return (EdgeScatter("both", comp, changed), {},
+                {"changed": int(changed.sum())})
 
     def rescatter(self, ctx, state, g, s):
-        indptr, adj, _ = ctx.csr("both")
-        deg = np.diff(indptr)
-        changed = state["changed"].astype(bool)
-        comp = state["component"]
-        if s == 0:
-            vals = np.repeat(comp, deg)
-            mask = vals < adj
-            return adj[mask], {"val": vals[mask]}
-        edge_mask = np.repeat(changed, deg)
-        vals = np.repeat(comp, deg)[edge_mask]
-        return adj[edge_mask], {"val": vals}
+        # step 0's changed mask is all ones: every vertex sent
+        return EdgeScatter("both", state["component"],
+                           state["changed"].astype(bool)), {}
 
     def output(self, ctx, state):
         return {"component": state["component"]}

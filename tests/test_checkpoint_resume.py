@@ -17,7 +17,8 @@ from ray_linkgraph import engine
 from ray_linkgraph.pages import pages_table
 from ray_linkgraph.extract import extract_links
 from ray_linkgraph.graph import build_graph
-from ray_linkgraph.algorithms import pagerank, wcc
+from ray_linkgraph.algorithms import lpa, pagerank, sssp, wcc
+from ray_linkgraph.algorithms.sssp import SsspProgram
 
 N = 200
 
@@ -86,6 +87,30 @@ def test_wcc_resume_midfrontier(graph, work_dir, every):
         .to_numpy()
     assert resumed.supersteps == full.supersteps
     assert (comp_full == comp_res).all()
+
+
+@pytest.mark.parametrize("name,col", [("wcc", "component"),
+                                      ("lpa", "label")])
+def test_per_edge_exchange_checkpoint_resumes(graph, work_dir, name, col):
+    """WCC and LPA checkpoints written when both programs still sent one
+    message per edge (``tests/data/parent_ckpt``: this module's graph,
+    cut after WCC step 1 and LPA step 4, with the uninterrupted run's
+    output) resume on the dense pull to that output, byte for byte: the
+    state columns are unchanged."""
+    src = os.path.join(os.path.dirname(__file__), "data", "parent_ckpt",
+                       name)
+    ck = os.path.join(work_dir, f"ck_per_edge_{name}")
+    shutil.copytree(src, ck)
+    run = {"wcc": wcc, "lpa": lpa}[name]
+    res = run(graph, checkpoint_dir=ck, resume=True)
+    assert res.history[0]["step"] == {"wcc": 2, "lpa": 5}[name]
+    resumed = res.to_arrow().sort_by("v_id")
+    want = pq.read_table(os.path.join(src, "expected.parquet"))
+    assert resumed.column("v_id").equals(want.column("v_id"))
+    assert resumed.column(col).to_numpy().tobytes() == \
+        want.column(col).to_numpy().tobytes()
+    full = run(graph).to_arrow().sort_by("v_id")
+    assert full.column(col).equals(want.column(col))
 
 
 def test_manifest_lineage_and_metrics(graph, work_dir):
@@ -179,22 +204,25 @@ def test_resume_refuses_horizon_mismatch(graph, work_dir):
 def test_relay_exchange_matches_direct_and_resumes(graph, work_dir,
                                                    monkeypatch):
     """Two-level pod relay (the O(P^1.5)-refs 1D exchange, r5) is
-    bit-identical to the direct exchange on a frontier program, and a
-    crash-cut resume flows through the relayed rescatter path."""
-    comp_direct = wcc(graph).to_arrow().to_pandas() \
-        .sort_values("v_id")["component"].to_numpy()
-    monkeypatch.setattr(engine, "RELAY_MIN_P", 2)   # force relay at P=4
-    comp_relay = wcc(graph).to_arrow().to_pandas() \
-        .sort_values("v_id")["component"].to_numpy()
-    assert (comp_direct == comp_relay).all()
+    bit-identical to the direct exchange on a frontier program (SSSP's
+    1D min; WCC and LPA take the dense pull), and a crash-cut resume
+    flows through the relayed rescatter path."""
+    def dist(res):
+        return res.to_arrow().to_pandas() \
+            .sort_values("v_id")["distance"].to_numpy()
 
-    ck = os.path.join(work_dir, "ck_wcc_relay")
-    wcc(graph, checkpoint_dir=ck)
+    direct = dist(sssp(graph, [0, 5]))
+    assert (direct > 1).any()
+    monkeypatch.setattr(engine, "RELAY_MIN_P", 2)   # force relay at P=4
+    assert engine.BSPEngine(graph, SsspProgram([0, 5])).relay is not None
+    assert direct.tobytes() == dist(sssp(graph, [0, 5])).tobytes()
+
+    ck = os.path.join(work_dir, "ck_sssp_relay")
+    sssp(graph, [0, 5], checkpoint_dir=ck)
     _truncate(ck, 1)
-    resumed = wcc(graph, checkpoint_dir=ck, resume=True)
-    comp_res = resumed.to_arrow().to_pandas() \
-        .sort_values("v_id")["component"].to_numpy()
-    assert (comp_direct == comp_res).all()
+    resumed = sssp(graph, [0, 5], checkpoint_dir=ck, resume=True)
+    assert resumed.history[0]["step"] == 2
+    assert direct.tobytes() == dist(resumed).tobytes()
 
 
 def test_resume_refuses_corrupted_checkpoint(graph, work_dir):

@@ -5,7 +5,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 import ray.data as rd
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ray_linkgraph.engine import RaggedCol
@@ -471,16 +471,15 @@ def test_actor_pool_cache_invalidated_on_rebuild(work_dir):
 
 # -- the 1D exchange kernels: route -> precombine -> Inbox ------------------
 
-_KINDS = ("sum", "min", "max", "overwrite", "label_count", "kv_min",
-          "concat")
+_KINDS = ("sum", "min", "max", "overwrite", "kv_min", "concat")
 
 
 @st.composite
 def _exchanges(draw):
     """(meta, combiner, dst_local dtype, messages): each message is
-    (sender, dst, val, label, key, ids), dealt to a random sender
-    partition. Small ranges make repeated dsts, repeated (dst, label)
-    pairs across senders and tied vote counts common; up to 400 messages
+    (sender, dst, val, key, ids), dealt to a random sender partition.
+    Small ranges make repeated dsts and repeated (dst, key) pairs across
+    senders common; up to 400 messages
     give sender slices past the size where numpy's unstable sort stops
     being an insertion sort, so a lost emission order shows."""
     P = draw(st.integers(1, 5))
@@ -491,11 +490,10 @@ def _exchanges(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vals = (rng.normal(0, 1e3, n) if kind == "sum"
             else rng.integers(-3, 4, n)).tolist()
-    labels = rng.choice([0, 1, V // 2, V - 1], n).tolist()
     ids = [rng.integers(0, 10**12, k).tolist()
            for k in rng.integers(0, 4, n)]
     msgs = list(zip(rng.integers(0, P, n).tolist(),
-                    rng.integers(0, V, n).tolist(), vals, labels,
+                    rng.integers(0, V, n).tolist(), vals,
                     rng.integers(0, 3, n).tolist(), ids))
     if draw(st.booleans()):
         # every sender emits in dst order, as LouvainProgram does: the
@@ -507,14 +505,12 @@ def _exchanges(draw):
 
 def _sender_payload(kind, ms, vdtype):
     vals = np.array([m[2] for m in ms], dtype=vdtype)
-    if kind == "label_count":
-        return {"label": np.array([m[3] for m in ms], dtype=np.int64)}
     if kind == "kv_min":
-        return {"key": np.array([m[4] for m in ms], dtype=np.int64),
+        return {"key": np.array([m[3] for m in ms], dtype=np.int64),
                 "val": vals.astype(np.float64),
                 "sender": np.array([m[2] for m in ms], dtype=np.int64)}
     if kind == "concat":
-        return {"val": vals, "ids": RaggedCol.from_lists([m[5] for m in ms])}
+        return {"val": vals, "ids": RaggedCol.from_lists([m[4] for m in ms])}
     return {"val": vals}
 
 
@@ -565,23 +561,13 @@ def test_exchange_kernels_match_plain_reference(ex, int_vals, empty_part):
                 continue
             ids, vals = ib.cols
             assert [ids.flat[ids.offsets[i]:ids.offsets[i + 1]].tolist()
-                    for i in range(len(ids))] == [m[5] for m in rows]
+                    for i in range(len(ids))] == [m[4] for m in rows]
             assert vals.tobytes() == np.array(
                 [m[2] for m in rows], dtype=vdtype).tobytes()
-        elif kind == "label_count":
-            votes = {}
-            for m in flat:
-                votes.setdefault(m[1] - lo, {}).setdefault(m[3], 0)
-                votes[m[1] - lo][m[3]] += 1
-            win = {d: min(c, key=lambda lab: (-c[lab], lab))
-                   for d, c in votes.items()}
-            assert ib.n_msgs == len(flat)
-            assert ib.win_dst.tolist() == sorted(win)
-            assert ib.win_label.tolist() == [win[d] for d in sorted(win)]
         elif kind == "kv_min":
             best = {}
             for m in flat:
-                k = (m[1] - lo, m[4])
+                k = (m[1] - lo, m[3])
                 best[k] = min(best.get(k, (np.inf, 0)), (float(m[2]), m[2]))
             keys = sorted(best)
             assert ib.dst.tolist() == [k[0] for k in keys]
@@ -628,6 +614,108 @@ def test_exchange_kernels_match_plain_reference(ex, int_vals, empty_part):
                            dtype=vt)
             assert arr.tobytes() == exp.tobytes()
             assert ib.n_msgs == len({(m[0], m[1]) for m in flat})
+
+
+# -- the dense pull's combiners: _send -> _pull -> Inbox.pulled -----------
+
+@st.composite
+def _pulls(draw):
+    """(meta, combiner, src, dst, values, senders): a directed multigraph
+    on V vertices dealt to P partitions by source, one value per vertex
+    and a sender mask (None: every vertex sends). Labels come from four
+    values, so tied votes are common; when ``starve`` is drawn the top
+    partition gets no in-edge."""
+    P = draw(st.sampled_from([1, 3, 4]))
+    V = draw(st.integers(P, 30))
+    kind = draw(st.sampled_from(["min", "label_count"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 150))
+    ps = -(-V // P)
+    src, dst = rng.integers(0, V, n), rng.integers(0, V, n)
+    if P > 1 and draw(st.booleans()):
+        keep = dst < (P - 1) * ps
+        src, dst = src[keep], dst[keep]
+    values = (rng.integers(-5, 6, V) if kind == "min"
+              else rng.choice([0, 1, V // 2, V - 1], V))
+    senders = rng.random(V) < 0.6 if draw(st.booleans()) else None
+    return ({"V": V, "P": P, "part_size": ps}, kind, src, dst, values,
+            senders)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pulls())
+# vertex 5 gets label 4 from 0 and 1, label 2 from 2 and 3: a tie, won
+# by the min label; sender 4 is masked, so its label 4 does not count
+@example(({"V": 6, "P": 3, "part_size": 2}, "label_count",
+          np.array([0, 1, 2, 3, 4, 5]), np.array([5, 5, 5, 5, 5, 0]),
+          np.array([4, 4, 2, 2, 4, 1]),
+          np.array([True, True, True, True, False, True])))
+def test_pull_combiners_match_plain_reference(ex):
+    """The dense pull's ``min`` and label vote, through
+    ``PartitionWorker._send`` and ``_pull``, equal a plain-Python
+    combine of the values sent along each edge by the senders: the mask
+    marks the vertices that got a value, and a tied vote goes to the
+    min label."""
+    from types import SimpleNamespace
+    from ray_linkgraph.engine import I64MAX, EdgeScatter, PartitionWorker
+    meta, kind, src, dst, values, senders = ex
+    P, ps = meta["P"], meta["part_size"]
+    sends = [senders is None or senders[u] for u in src.tolist()]
+    workers = []
+    for p in range(P):
+        w = PartitionWorker("unused", meta, p)
+        w.program, w.dense = SimpleNamespace(combiner=kind, mode="out"), True
+        mine = src // ps == p
+        w.ctx._edges = (lambda mode, parts, columns, e=(src[mine], dst[mine]):
+                        (*e, None))
+        workers.append(w)
+    splits = [w.split_out_edges() for w in workers]
+    chunks = []
+    for p, w in enumerate(workers):
+        w.ctx.set_pull_block("out", splits)
+        lo, hi = w.ctx.lo, w.ctx.hi
+        (chunk,), n_out = w._send(EdgeScatter(
+            "out", values[lo:hi], None if senders is None
+            else senders[lo:hi]), {})
+        assert n_out == sum(s for u, s in zip(src.tolist(), sends)
+                            if lo <= u < hi)
+        chunks.append(chunk)
+    for q, w in enumerate(workers):
+        ib = w._pull(chunks[:q] + chunks[q + 1:])
+        got = {}
+        for u, v, s in zip(src.tolist(), dst.tolist(), sends):
+            if s and w.ctx.lo <= v < w.ctx.hi:
+                got.setdefault(v - w.ctx.lo, []).append(int(values[u]))
+        assert np.flatnonzero(ib.mask).tolist() == sorted(got)
+        assert ib.n_msgs == sum(len(vs) for vs in got.values())
+        if kind == "min":
+            assert ib.min.tolist() == [min(got[i]) if i in got else I64MAX
+                                       for i in range(w.ctx.size)]
+        else:
+            win = {d: min(vs, key=lambda lab: (-vs.count(lab), lab))
+                   for d, vs in got.items()}
+            assert ib.win_dst.tolist() == sorted(win)
+            assert ib.win_label.tolist() == [win[d] for d in sorted(win)]
+
+
+def test_dense_scatter_senders_length_checked(work_dir):
+    """An ``EdgeScatter`` sender mask must have one entry per vertex of
+    its partition: a short mask fails the run."""
+    from ray_linkgraph.engine import EdgeScatter, VertexProgram, run_program
+
+    class ShortMask(VertexProgram):
+        combiner = "min"
+        dense = True
+
+        def init(self, ctx, g):
+            return {}
+
+        def compute0(self, ctx, state, g):
+            return EdgeScatter("out", ctx.vids(),
+                               np.ones(ctx.size - 1, dtype=bool)), {}, {}
+
+    with pytest.raises(Exception, match="senders mask of"):
+        run_program(_pull_graph(work_dir, 2), ShortMask(), max_supersteps=2)
 
 
 def test_label_key_guard():

@@ -261,8 +261,9 @@ def test_triangle_exchange_matrix(exchange_graph, monkeypatch, n_parts,
 @EXCHANGES
 def test_1d_combiner_exchange_matrix(exchange_graph, monkeypatch, n_parts,
                                      relay):
-    """The label_count (LPA) and min (WCC, SSSP) combiners are exact at
-    every partitioning and over both 1D exchanges."""
+    """LPA's label vote and WCC's min (dense pull) and SSSP's min (1D)
+    are exact at every partitioning, with and without the pod relay,
+    which only the 1D exchange takes."""
     from ray_linkgraph import engine
     g = exchange_graph(n_parts)
     if relay:
