@@ -17,8 +17,7 @@ from ray_linkgraph import engine
 from ray_linkgraph.pages import pages_table
 from ray_linkgraph.extract import extract_links
 from ray_linkgraph.graph import build_graph
-from ray_linkgraph.algorithms import lpa, pagerank, sssp, wcc
-from ray_linkgraph.algorithms.sssp import SsspProgram
+from ray_linkgraph.algorithms import SsspProgram, lpa, pagerank, sssp, wcc
 
 N = 200
 
@@ -93,11 +92,11 @@ def test_wcc_resume_midfrontier(graph, work_dir, every):
                                       ("lpa", "label")])
 def test_per_edge_exchange_checkpoint_resumes(graph, work_dir, name, col):
     """WCC and LPA checkpoints written when both programs still sent one
-    message per edge (``tests/data/parent_ckpt``: this module's graph,
+    message per edge (``tests/data/per_edge_ckpt``: this module's graph,
     cut after WCC step 1 and LPA step 4, with the uninterrupted run's
     output) resume on the dense pull to that output, byte for byte: the
     state columns are unchanged."""
-    src = os.path.join(os.path.dirname(__file__), "data", "parent_ckpt",
+    src = os.path.join(os.path.dirname(__file__), "data", "per_edge_ckpt",
                        name)
     ck = os.path.join(work_dir, f"ck_per_edge_{name}")
     shutil.copytree(src, ck)
