@@ -102,57 +102,48 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def reduce_by_keys(t, keys: list, vals: list, reduce: str = "sum"):
+    """One row per distinct ``keys`` tuple of table ``t``, keys
+    ascending, with each ``vals`` column summed (``reduce="min"``: its
+    minimum): one lexsort, then one reduceat per value column."""
+    import pyarrow as pa
+
+    if t.num_rows == 0:
+        return t.select(list(keys) + list(vals))
+    red = np.add.reduceat if reduce == "sum" else np.minimum.reduceat
+    ks = [t.column(k).to_numpy() for k in keys]
+    order = np.lexsort(ks[::-1])
+    ks = [k[order] for k in ks]
+    change = np.zeros(len(order), dtype=bool)
+    change[0] = True
+    for k in ks:
+        change[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(change)
+    cols = {name: k[starts] for name, k in zip(keys, ks)}
+    for v in vals:
+        cols[v] = red(t.column(v).to_numpy()[order], starts)
+    return pa.table(cols)
+
+
 def agg_by_int_keys(ds, keys: list, val: str, out_val: str,
-                    reduce: str = "sum", n_coarse: int = 64):
-    """groupby(int keys).sum/min(val) as a COARSE-hash shuffle with a
-    map-side combiner and one lexsort/reduceat kernel per group.
+                    reduce: str = "sum"):
+    """groupby(int keys).sum/min(val) as a hash exchange with a map-side
+    combiner and one ``reduce_by_keys`` kernel per group.
 
     Ray's native ``groupby(keys).aggregate(...)`` materializes every
     group individually (measured 6.2 s vs 0.7 s on 383k rows / 382k
     groups at 32 cpus), so any high-cardinality aggregate should go
-    through this instead: per-batch partials shrink the exchange to one
-    row per (key, block), the shuffle has n_coarse groups regardless of
-    key cardinality, and the reduce stays whole-group vectorized.
+    through this instead: per-block partials shrink the exchange to one
+    row per (key, block), and the reduce stays whole-group vectorized.
     Deterministic for integer-valued data; float sums can differ in
     reduction order (round on output where an oracle compares).
     Returns Dataset(keys..., out_val)."""
-    import pyarrow as pa
-
-    red = np.add.reduceat if reduce == "sum" else np.minimum.reduceat
-
-    def _combine(t, val_col):
-        ks = [t.column(k).to_numpy() for k in keys]
-        v = t.column(val_col).to_numpy()
-        if len(v) == 0:
-            cols = {k: pa.array(a) for k, a in zip(keys, ks)}
-            cols[out_val] = pa.array(v)
-            return pa.table(cols)
-        order = np.lexsort(tuple(reversed(ks)))
-        kss = [k[order] for k in ks]
-        vs = v[order]
-        change = np.zeros(len(vs), dtype=bool)
-        change[0] = True
-        for k in kss:
-            change[1:] |= k[1:] != k[:-1]
-        starts = np.flatnonzero(change)
-        cols = {keys[i]: pa.array(kss[i][starts]) for i in range(len(keys))}
-        cols[out_val] = pa.array(red(vs, starts))
-        return pa.table(cols)
-
     def pre(t):
-        pt = _combine(t, val)
-        gk = (hash_u64(*[pt.column(k).to_numpy().astype(np.uint64)
-                         for k in keys])
-              % np.uint64(n_coarse)) if len(pt) else np.zeros(0, np.uint64)
-        return pt.append_column("_g", pa.array(
-            np.asarray(gk, dtype=np.int64)))
+        return reduce_by_keys(t, keys, [val], reduce) \
+            .rename_columns(list(keys) + [out_val])
 
-    def merge(t):
-        return _combine(t, out_val)
-
-    return (ds.map_batches(pre, batch_format="pyarrow")
-            .groupby("_g").map_groups(merge, batch_format="pyarrow")
-            .select_columns(list(keys) + [out_val]))
+    return hash_exchange([(ds, pre)], keys,
+                         lambda t: reduce_by_keys(t, keys, [out_val], reduce))
 
 
 def block_refs(ds) -> list:
@@ -216,3 +207,64 @@ def exchange(blocks: list, split, merge, G: int) -> list:
         parts = [[p] for p in parts]
     return [_merge_task.remote(merge, g, *[p[g] for p in parts])
             for g in range(G)]
+
+
+def n_groups() -> int:
+    """The group count of every ``hash_exchange``: 4 x the cluster's
+    CPUs. Each merge is exact per key, so results never depend on it;
+    it only sets how many rows one merge task holds."""
+    return 4 * max(1, int(ray.cluster_resources().get("CPU", 8)))
+
+
+def hash_exchange(inputs: list, keys: list, merge):
+    """``merge(table)`` once per hash group of the int64 ``keys``
+    columns, over ``n_groups()`` groups of ``exchange``: rows with equal
+    keys meet in one call. ``inputs`` is a list of ``(Dataset, pre)``;
+    ``pre`` (a pyarrow batch map, or None) runs on its Dataset first,
+    and every ``pre`` output has the same schema. Returns the Dataset of
+    the merge outputs.
+
+    Without input rows ``merge`` runs once on an empty table. Ray Data
+    skips a map on empty blocks and leaves them without a schema, so
+    that table is ``pre`` applied to each input's own empty schema; if
+    no input has a schema, the empty mapped input is returned as it
+    is."""
+    import pyarrow as pa
+    import ray.data
+
+    from ray.data.dataset import MaterializedDataset
+
+    # an input already in the object store runs ``pre`` in the split
+    # tasks; any other is mapped by Ray Data, so only ``pre``'s output
+    # is materialized
+    staged = [(ds, pre) if isinstance(ds, MaterializedDataset) else
+              (ds.map_batches(pre, batch_format="pyarrow") if pre else ds,
+               None) for ds, pre in inputs]
+    blocks = [(pre, r) for m, pre in staged for r in block_refs(m)]
+    if not blocks:
+        empties = []
+        for ds, pre in inputs:
+            sch = ds.schema()
+            if sch is not None:
+                e = pa.schema(list(zip(sch.names, sch.types))).empty_table()
+                empties.append(pre(e) if pre else e)
+        if not empties:
+            return staged[0][0]
+        return ray.data.from_arrow(merge(pa.concat_tables(empties)))
+    G = n_groups()
+
+    def split(block):
+        pre, ref = block
+        t = ray.get(ref)
+        t = pre(t) if pre else t
+        return t, hash_u64(*[t.column(k).to_numpy().astype(np.uint64)
+                             for k in keys]) % np.uint64(G)
+
+    def merge_slices(g: int, subs: list):
+        return merge(pa.concat_tables(subs).combine_chunks())
+
+    out = ray.data.from_arrow_refs(exchange(blocks, split, merge_slices, G))
+    # few keys leave most groups empty: drop those blocks, or every
+    # downstream map runs a task per empty block
+    kept = block_refs(out)
+    return ray.data.from_arrow_refs(kept) if 0 < len(kept) < G else out

@@ -3,7 +3,7 @@
 Used by the near-dup dedup operators to turn verified duplicate PAIRS
 into cluster labels (cluster = min doc id of the component) without any
 driver-side union-find: iterated min-label propagation where every step
-is a Ray Data hash join + groupby over the pair graph only (which is
+is a Ray Data hash join + a hash-exchange min over the pair graph (which is
 sparse by construction — candidates that survived LSH banding and exact
 verification). The corpus itself is never touched here.
 
@@ -93,13 +93,12 @@ def connected_components(pairs_ds, max_rounds: int = 50,
         pairs_ds.map_batches(both_dirs, batch_format="pyarrow"))
     if edges is None:
         return empty
-    # min-aggregates run through the coarse-hash reduceat combiner
+    # min-aggregates run through the hash-exchange reduceat combiner
     # (agg_by_int_keys): the native per-group aggregate is O(groups)
     # Python — this path only runs above CC_SINGLE_TASK_MAX pairs,
     # where groups = nodes is large by definition
     labels = drop_empty_blocks(
-        agg_by_int_keys(edges, ["src"], "dst", "nmin", reduce="min",
-                        n_coarse=4 * num_partitions)
+        agg_by_int_keys(edges, ["src"], "dst", "nmin", reduce="min")
         .map_batches(
             lambda t: pa.table({
                 "node": t.column("src"),
@@ -125,7 +124,7 @@ def connected_components(pairs_ds, max_rounds: int = 50,
                 batch_format="pyarrow")
         nxt = drop_empty_blocks(
             agg_by_int_keys(msgs.union(labels), ["node"], "label", "label",
-                            reduce="min", n_coarse=4 * num_partitions))
+                            reduce="min"))
         if nxt is None:
             break
         labels = nxt

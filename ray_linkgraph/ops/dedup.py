@@ -1,11 +1,11 @@
 """Deduplication operators over a documents table — fully distributed.
 
-* exact: content-hash groupby, keep min id (hash-partitioned — the
+* exact: content-hash grouping, keep min id (hash-partitioned — the
   shuffle key is the md5, so identical texts meet in one group no matter
   where they were read).
 * MinHash + LSH: batch-vectorized shingle/minhash signatures (texthash —
   modular polynomial hashing, no per-shingle Python loops) -> banded
-  bucket groupby -> candidate pairs -> distributed exact-Jaccard
+  bucket exchange -> candidate pairs -> distributed exact-Jaccard
   verification (shingle sets recomputed ONLY for candidate docs, joined
   to the pairs with Ray hash joins) -> distributed min-label connected
   components (ops/cc.py) -> cluster labels broadcast back over the
@@ -40,7 +40,7 @@ import ray
 
 from . import texthash
 from .._util import drop_empty_blocks as _nonempty_blocks
-from .._util import _strip_schema_meta
+from .._util import _strip_schema_meta, hash_exchange
 from .cc import assign_clusters, connected_components
 
 SHINGLE_W = texthash.SHINGLE_W
@@ -73,7 +73,7 @@ def content_hash(batch: pa.Table, text_col: str = "text",
 
 
 def exact_dedup(docs_ds, text_col: str = "text", id_col: str = "doc_id",
-                n_coarse: int = 64, key: str = "md5"):
+                key: str = "md5"):
     """-> Dataset(content_hash, keep_doc_id=min id, dup_count).
 
     ``key="md5"``: hex-string content key, byte-for-byte DuckDB
@@ -83,13 +83,11 @@ def exact_dedup(docs_ds, text_col: str = "text", id_col: str = "doc_id",
     choice at 100-TB scale, and still SQL-expressible
     (``texthash.sql_cp_fold``) so it oracle-gates identically.
 
-    Coarse-hash combine instead of ``groupby(content_hash)`` — the
-    native aggregate materializes one group per DISTINCT document
-    (O(corpus) groups); here each batch pre-combines to one row per
-    local key, the shuffle has n_coarse groups, and the merge kernel
-    lexsorts the fixed-width keys (md5: S32 hex bytes — exact string
-    grouping, no 64-bit truncation; fingerprint: int64)."""
-    from .._util import hash_u64
+    Hash exchange instead of ``groupby(content_hash)`` — the native
+    aggregate materializes one group per DISTINCT document (O(corpus)
+    groups); here each batch pre-combines to one row per local key, and
+    the merge kernel lexsorts the fixed-width keys (md5: S32 hex bytes —
+    exact string grouping, no 64-bit truncation; fingerprint: int64)."""
     if key not in ("md5", "fingerprint"):
         raise ValueError(f"key must be 'md5' or 'fingerprint', got {key!r}")
     fp_mode = key == "fingerprint"
@@ -144,22 +142,18 @@ def exact_dedup(docs_ds, text_col: str = "text", id_col: str = "doc_id",
                                   if len(starts) else c2[:0]),
         })
 
-    return _hash_exchange_groups(
-        docs_ds.map_batches(pre, batch_format="pyarrow"),
-        "_k", merge, G=n_coarse)
+    return hash_exchange([(docs_ds, pre)], ["_k"], merge)
 
 
 # ---------------------------------------------------------------------------
 # shared: candidate-pair helpers
 # ---------------------------------------------------------------------------
 
-def _dedup_pairs(pairs_ds, n_coarse: int = 32):
-    """Distinct (a, b) rows — coarse-hash shuffle with per-batch local
-    dedup and one lexsort run-dedup kernel per group (the native
-    groupby materializes one group per distinct PAIR)."""
-    from .._util import hash_u64
-
-    def _distinct(t: pa.Table, with_gkey: bool) -> pa.Table:
+def _dedup_pairs(pairs_ds):
+    """Distinct (a, b) rows — hash exchange with per-block local dedup
+    and one lexsort run-dedup kernel per group (the native groupby
+    materializes one group per distinct PAIR)."""
+    def _distinct(t: pa.Table) -> pa.Table:
         a = t.column("a").to_numpy()
         b = t.column("b").to_numpy()
         if len(a):
@@ -167,23 +161,10 @@ def _dedup_pairs(pairs_ds, n_coarse: int = 32):
             a, b = a[o], b[o]
             keep = np.r_[True, (np.diff(a) != 0) | (np.diff(b) != 0)]
             a, b = a[keep], b[keep]
-        cols = {"a": pa.array(a, type=pa.int64()),
-                "b": pa.array(b, type=pa.int64())}
-        if with_gkey:
-            gk = (hash_u64(a.astype(np.uint64), b.astype(np.uint64))
-                  % np.uint64(n_coarse)).astype(np.int64) \
-                if len(a) else np.zeros(0, dtype=np.int64)
-            cols["_g"] = pa.array(gk)
-        return pa.table(cols)
+        return pa.table({"a": pa.array(a, type=pa.int64()),
+                         "b": pa.array(b, type=pa.int64())})
 
-    return (pairs_ds.map_batches(lambda t: _distinct(t, True),
-                                 batch_format="pyarrow")
-            .groupby("_g")
-            .map_groups(lambda t: _distinct(t, False),
-                        batch_format="pyarrow")
-            .select_columns(["a", "b"]))
-
-
+    return hash_exchange([(pairs_ds, _distinct)], ["a", "b"], _distinct)
 
 
 def _pairs_table(pairs_ds) -> pa.Table:
@@ -322,41 +303,6 @@ def _runs_pairs(sort_keys: tuple, ids: np.ndarray, payloads=(),
     return lo, hi, [(p[a_idx], p[b_idx]) for p in pay]
 
 
-N_PAIR_GROUPS = 32   # minimum coarse shuffle groups for candidate pair
-#                      generation (per-(bucket) map_groups spawns one
-#                      task per TINY group — 75k groups cost ~11s for
-#                      256 pairs at sf0.1); scales up with cluster CPUs
-
-
-def _n_pair_groups() -> int:
-    return max(N_PAIR_GROUPS,
-               4 * int(ray.cluster_resources().get("CPU", 8)))
-
-
-def _hash_exchange_groups(ds, key_col: str, gen, G: int | None = None):
-    """``gen`` once per coarse-hash group of ``key_col`` over the rows of
-    ``ds`` (equal keys meet in one group), through ``_util.exchange``
-    instead of Ray's sort-based ``groupby(_g).map_groups``."""
-    from .._util import block_refs, exchange, hash_u64
-    if G is None:
-        G = _n_pair_groups()
-    ds = ds.materialize()
-    refs = block_refs(ds)
-    if not refs:
-        sch = ds.schema()
-        empty = pa.schema(list(zip(sch.names, sch.types))).empty_table()
-        return ray.data.from_arrow(gen(empty))
-
-    def split(t: pa.Table):
-        k = t.column(key_col).to_numpy().astype(np.uint64)
-        return t, hash_u64(k) % np.uint64(G)
-
-    def merge(g: int, subs: list) -> pa.Table:
-        return gen(pa.concat_tables(subs).combine_chunks())
-
-    return ray.data.from_arrow_refs(exchange(refs, split, merge, G))
-
-
 def _band_pairs(bands_ds):
     """Raw candidate (a, b) pairs from the banded buckets — NOT
     deduplicated across bands (a pair sharing k bands appears up to k
@@ -369,7 +315,7 @@ def _band_pairs(bands_ds):
         return pa.table({"a": pa.array(lo, type=pa.int64()),
                          "b": pa.array(hi, type=pa.int64())})
 
-    return _hash_exchange_groups(bands_ds, "bk", gen)
+    return hash_exchange([(bands_ds, None)], ["bk"], gen)
 
 
 def _unique_pairs_np(t: pa.Table) -> pa.Table:
@@ -507,7 +453,7 @@ def minhash_lsh_dedup(docs_ds, threshold: float = 0.8,
 # exact n-gram Jaccard
 # ---------------------------------------------------------------------------
 
-def ngram_jaccard_adjacent(docs_ds, n_coarse: int = 32):
+def ngram_jaccard_adjacent(docs_ds):
     """Exact token-3-gram Jaccard similarity of every ADJACENT doc-id
     pair (doc_id, doc_id+1) -> Dataset(a, b, jaccard rounded 10dp).
 
@@ -516,7 +462,7 @@ def ngram_jaccard_adjacent(docs_ds, n_coarse: int = 32):
     Band-join-style co-location: one corpus pass computes each doc's
     unique-shingle blob (whole-batch vectorized texthash kernel) and
     emits it to its ≤2 pair groups, so pairing needs no corpus-wide
-    join and each coarse group verifies its pairs with C-speed
+    join and each exchange group verifies its pairs with C-speed
     ``np.intersect1d``. Pair p is complete only when both members
     exist (boundary docs drop out)."""
 
@@ -555,9 +501,7 @@ def ngram_jaccard_adjacent(docs_ds, n_coarse: int = 32):
                          "b": pa.array(a_out + 1),
                          "jaccard": pa.array(np.round(jac, 10))})
 
-    return _hash_exchange_groups(
-        docs_ds.map_batches(blobs, batch_format="pyarrow"),
-        "p", pair_group, G=n_coarse)
+    return hash_exchange([(docs_ds, blobs)], ["p"], pair_group)
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +556,8 @@ def simhash_neardup(docs_ds, max_hamming: int = 3, concurrency=None,
         return pa.table({"a": pa.array(lo[keep], type=pa.int64()),
                          "b": pa.array(hi[keep], type=pa.int64())})
 
-    verified = _dedup_pairs(_hash_exchange_groups(
-        sigs.map_batches(quarters, batch_format="pyarrow"),
-        "qk", bucket_pairs))
+    verified = _dedup_pairs(
+        hash_exchange([(sigs, quarters)], ["qk"], bucket_pairs))
     labels = connected_components(verified, num_partitions=num_partitions)
     return assign_clusters(docs_ds, labels)
 
@@ -691,8 +634,10 @@ def embedding_neardup_lsh(emb_ds, threshold: float = 0.95,
                           num_partitions: int = 8):
     """Approximate (recall < 1) near-dup for 100-TB scale: random-
     hyperplane sign buckets propose candidates, exact cosine verifies
-    within each bucket group, same distributed clustering. Recall is
-    bounded by the bucket collision probability (pytest covers it)."""
+    within each bucket (one exchange group holds several buckets and
+    verifies them one run at a time), same distributed clustering.
+    Recall is bounded by the bucket collision probability (pytest
+    covers it)."""
     from .._util import hash_u64
 
     first = emb_ds.take(1)[0]
@@ -711,21 +656,24 @@ def embedding_neardup_lsh(emb_ds, threshold: float = 0.95,
             t.append_column("bucket", pa.array(code.astype(np.int64))))
 
     def verify(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy()
-        if len(ids) < 2:
-            return pa.table({"a": pa.array([], pa.int64()),
-                             "b": pa.array([], pa.int64())})
-        col = t.column("vec").combine_chunks()
-        vecs = col.flatten().to_numpy(zero_copy_only=False) \
-            .reshape(len(t), -1)
-        sims = vecs @ vecs.T
-        ai, bi = np.nonzero(np.triu(sims >= threshold, k=1))
-        return pa.table({"a": pa.array(np.minimum(ids[ai], ids[bi])),
-                         "b": pa.array(np.maximum(ids[ai], ids[bi]))})
+        lo, hi = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        if len(t) >= 2:
+            b = t.column("bucket").to_numpy()
+            o = np.argsort(b, kind="stable")
+            b, ids = b[o], t.column(id_col).to_numpy()[o]
+            vecs = t.column("vec").combine_chunks().flatten() \
+                .to_numpy(zero_copy_only=False).reshape(len(t), -1)[o]
+            cut = np.flatnonzero(np.r_[True, b[1:] != b[:-1], True])
+            for s, e in zip(cut[:-1], cut[1:]):
+                v, i = vecs[s:e], ids[s:e]
+                ai, bi = np.nonzero(np.triu(v @ v.T >= threshold, k=1))
+                lo.append(np.minimum(i[ai], i[bi]))
+                hi.append(np.maximum(i[ai], i[bi]))
+        return pa.table({"a": pa.array(np.concatenate(lo), pa.int64()),
+                         "b": pa.array(np.concatenate(hi), pa.int64())})
 
     pairs = _dedup_pairs(
-        emb_ds.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket").map_groups(verify, batch_format="pyarrow"))
+        hash_exchange([(emb_ds, bucketize)], ["bucket"], verify))
     labels = connected_components(pairs, num_partitions=num_partitions)
     return assign_clusters(emb_ds.select_columns([id_col]), labels,
                            id_col=id_col)

@@ -4,24 +4,23 @@ band (range) join.
 The reference has no general join operator (SURVEY.md §2.8 — its joins
 are merge-joins over id-sorted partition files); these are the two
 join shapes a training-data/event pipeline needs that neither the
-reference nor Ray Data provides, built as compositions of map_batches
-+ union + groupby().map_groups per the custom-operator guidance.
+reference nor Ray Data provides, each one ``_util.hash_exchange`` over
+both sides.
 
 Partitioning assumptions (documented per the north-star scale notes):
 
 * ``asof_join`` hash-partitions BOTH sides by the ``by`` key, so all
-  rows of one key meet in one group task. Skew bound = rows per key
-  bucket; ``n_buckets`` defaults to 4x the cluster CPU count (the
-  events.py auto-scale convention) so group size shrinks as the
-  cluster grows; the per-group work is one vectorized merge-order
-  forward-fill (pure numpy — results are width-invariant).
+  rows of one key meet in one group task. Skew bound = rows per
+  exchange group (``_util.n_groups()``, 4x the cluster CPU count, so
+  group size shrinks as the cluster grows); the per-group work is one
+  vectorized merge-order forward-fill (pure numpy — results are
+  width-invariant).
 * ``band_join_count`` range-partitions by time bucket of width
   ``band_us`` and replicates each right row to its 3 adjacent buckets
   (classic band-join replication), so a left row's whole ±band window
   is co-located with it. Replication factor is exactly 3 regardless of
-  band width; ``n_coarse`` auto-scales the same way; group size =
-  events per band window — pick ``band_us`` (or pre-aggregate the
-  right side) so one window fits a worker.
+  band width; group size = events per band window — pick ``band_us``
+  (or pre-aggregate the right side) so one window fits a worker.
 """
 
 from __future__ import annotations
@@ -29,17 +28,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .._util import hash_u64
-
-
-def _auto_width(n) -> int:
-    """4x cluster CPUs (the events.py:35 convention) when unset —
-    the kernels are width-invariant, so the default only steers
-    group size, never results."""
-    if n is not None:
-        return int(n)
-    import ray
-    return 4 * max(1, int(ray.cluster_resources().get("CPU", 8)))
+from .._util import hash_exchange
 
 
 def _ts_us(col) -> np.ndarray:
@@ -58,7 +47,7 @@ def _ts_us(col) -> np.ndarray:
 
 def asof_join(left_ds, right_ds, by: str = "user_id", on: str = "ts",
               right_val: str = "event_id", out_col: str = "prior_event_id",
-              n_buckets: int | None = None, unmatched: int = -1):
+              unmatched: int = -1):
     """For every left row, the ``right_val`` of the LATEST right row of
     the same ``by`` key with ``right.on <= left.on`` (backward as-of).
 
@@ -79,20 +68,13 @@ def asof_join(left_ds, right_ds, by: str = "user_id", on: str = "ts",
     ``unmatched`` as the sentinel where no right row qualifies (keeps
     the output schema non-nullable so value hashing is stable).
     """
-    nb = np.uint64(_auto_width(n_buckets))
     lschema = left_ds.schema()
     left_cols = list(lschema.names)
     left_types = dict(zip(lschema.names, lschema.types))
 
-    def _bucket(t: pa.Table) -> pa.Array:
-        b = (hash_u64(t.column(by).to_numpy().astype(np.uint64))
-             % nb).astype(np.int64)
-        return pa.array(b, type=pa.int64())
-
     def tag_left(t: pa.Table) -> pa.Table:
         cols = {c: t.column(c) for c in left_cols}
         cols["_rv"] = pa.array(np.full(len(t), unmatched, dtype=np.int64))
-        cols["_b"] = _bucket(t)
         cols["_side"] = pa.array(np.ones(len(t), dtype=np.int64))
         return pa.table(cols)
 
@@ -110,13 +92,8 @@ def asof_join(left_ds, right_ds, by: str = "user_id", on: str = "ts",
         cols = {c: (t.column(c) if c in (by, on) else filler(c))
                 for c in left_cols}
         cols["_rv"] = t.column(right_val).cast(pa.int64())
-        cols["_b"] = _bucket(t)
         cols["_side"] = pa.array(np.zeros(len(t), dtype=np.int64))
         return pa.table(cols)
-
-    lt = left_ds.map_batches(tag_left, batch_format="pyarrow")
-    rt = (right_ds.select_columns([by, on, right_val])
-          .map_batches(tag_right, batch_format="pyarrow"))
 
     def group(t: pa.Table) -> pa.Table:
         """Backward as-of inside one key bucket, pure numpy: sort the
@@ -162,16 +139,14 @@ def asof_join(left_ds, right_ds, by: str = "user_id", on: str = "ts",
         out[out_col] = pa.array(rv_out)
         return pa.table(out)
 
-    return (lt.union(rt)
-            .groupby("_b")
-            .map_groups(group, batch_format="pyarrow"))
+    return hash_exchange([(left_ds, tag_left), (right_ds, tag_right)],
+                         [by], group)
 
 
 def band_join_count(left_ds, right_ds, on: str = "ts",
                     band_us: int = 300_000_000,
                     left_key: str = "event_id",
-                    out_col: str = "n_in_band",
-                    n_coarse: int | None = None):
+                    out_col: str = "n_in_band"):
     """For every left row, COUNT of right rows with
     ``|right.on - left.on| <= band_us`` (inclusive band/range join,
     aggregated — the join output itself would be quadratic in dense
@@ -180,20 +155,15 @@ def band_join_count(left_ds, right_ds, on: str = "ts",
     Right rows are replicated to their home time bucket ±1 (bucket
     width = band_us, so a left row's band spans at most its own and
     the two adjacent buckets); each left row is evaluated in exactly
-    one bucket, so no double counting. Buckets shuffle under a COARSE
-    hash key (n_coarse groups — one group per time bucket would cost a
-    Python call per bucket), and the per-group count is ONE pair of
+    one bucket, so no double counting. Buckets meet in the groups of
+    one hash exchange (one group per time bucket would cost a Python
+    call per bucket), and the per-group count is ONE pair of
     composite-key searchsorteds over all of the group's buckets at
     once: rows within bucket b carry offsets ts − (b−1)·bw ∈ [0, 3·bw),
     so key = b·2bw + ts + bw is monotone in (bucket, ts) and per-row
     band bounds never leave their own bucket's key range.
     """
     bw = np.int64(band_us)
-    nc = np.uint64(_auto_width(n_coarse))
-
-    def _gk(b: np.ndarray) -> pa.Array:
-        return pa.array((hash_u64(b.astype(np.uint64))
-                         % nc).astype(np.int64))
 
     def rep_right(t: pa.Table) -> pa.Table:
         ts = _ts_us(t.column(on))
@@ -204,7 +174,6 @@ def band_join_count(left_ds, right_ds, on: str = "ts",
             "_ts": pa.array(np.tile(ts, 3), type=pa.int64()),
             "_side": pa.array(np.zeros(3 * len(ts), dtype=np.int64)),
             left_key: pa.array(np.full(3 * len(ts), -1, dtype=np.int64)),
-            "_g": _gk(buckets),
         })
 
     def tag_left(t: pa.Table) -> pa.Table:
@@ -215,12 +184,7 @@ def band_join_count(left_ds, right_ds, on: str = "ts",
             "_ts": pa.array(ts, type=pa.int64()),
             "_side": pa.array(np.ones(len(ts), dtype=np.int64)),
             left_key: t.column(left_key),
-            "_g": _gk(b),
         })
-
-    lt = left_ds.map_batches(tag_left, batch_format="pyarrow")
-    rt = right_ds.select_columns([on]).map_batches(rep_right,
-                                                   batch_format="pyarrow")
 
     def comp(b: np.ndarray, ts: np.ndarray) -> np.ndarray:
         return b * (2 * bw) + ts + bw
@@ -241,6 +205,5 @@ def band_join_count(left_ds, right_ds, on: str = "ts",
         return pa.table({left_key: pa.array(lkey),
                          out_col: pa.array(n.astype(np.int64))})
 
-    return (lt.union(rt)
-            .groupby("_g")
-            .map_groups(group, batch_format="pyarrow"))
+    return hash_exchange([(left_ds, tag_left), (right_ds, rep_right)],
+                         ["_b"], group)

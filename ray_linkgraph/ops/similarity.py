@@ -6,7 +6,8 @@
   per batch, and no actor pool whose constructor captures an ObjectRef,
   the ray#53727 restart hazard); each batch computes a numpy matmul and
   emits only its local top-k per query, so the final per-query reduce
-  sees O(k * num_batches) rows, not the whole table.
+  (``text.topk_per_group`` over one hash exchange) sees
+  O(k * num_batches) rows, not the whole table.
 * IVF-style ANN: deterministic seeded centroids, vectors bucketed by
   nearest centroid; queries probe the nprobe nearest buckets only.
 """
@@ -20,23 +21,23 @@ import ray
 from .._util import (hash_u64, read_parquet_nm, _strip_schema_meta,
                       vec_matrix as _vec_matrix)
 from ..extract import _task_cap
-
-
-def _final_topk_arrow(k: int):
-    """Per-query global top-k finalizer (pyarrow group format;
-    deterministic sim desc, vec_id asc, 1-based rank)."""
-    def fn(t: pa.Table) -> pa.Table:
-        sim = t.column("sim").to_numpy()
-        vid = t.column("vec_id").to_numpy()
-        order = np.lexsort((vid, -sim))[:k]
-        out = t.take(pa.array(order))
-        return out.append_column(
-            "rank", pa.array(np.arange(1, len(out) + 1, dtype=np.int64)))
-    return fn
+from .text import topk_per_group
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
     return v / np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-12)
+
+
+def _knn_topk(ds, q: np.ndarray, k: int, id_col: str, vec_col: str,
+              concurrency):
+    """Per-query top-k of ``ds``'s vectors against query matrix ``q``
+    (sim desc, vec_id asc, 1-based rank): a local top-k per batch,
+    then one per-query reduce. ``concurrency`` defaults to no task cap,
+    so this map fuses with the reduce's map-side prune."""
+    partial = ds.map_batches(BatchTopK(q, k, id_col, vec_col),
+                             batch_format="pyarrow",
+                             concurrency=_task_cap(concurrency))
+    return topk_per_group(partial, "query_idx", "sim", k, "vec_id")
 
 
 class BatchTopK:
@@ -69,14 +70,10 @@ class BatchTopK:
 
 def knn_brute(emb_ds, queries: np.ndarray, k: int = 10,
               id_col: str = "vec_id", vec_col: str = "embedding",
-              concurrency=(1, 8)):
+              concurrency=None):
     """-> Dataset(query_idx, vec_id, sim, rank) exact cosine top-k."""
-    partial = emb_ds.map_batches(
-        BatchTopK(np.asarray(queries, dtype=np.float64), k, id_col,
-                  vec_col),
-        batch_format="pyarrow", concurrency=_task_cap(concurrency))
-    return partial.groupby("query_idx").map_groups(
-        _final_topk_arrow(k), batch_format="pyarrow")
+    return _knn_topk(emb_ds, np.asarray(queries, dtype=np.float64), k,
+                     id_col, vec_col, concurrency)
 
 
 def train_centroids(emb_ds, n_centroids: int = 16, seed: int = 11,
@@ -171,7 +168,7 @@ class IvfIndex:
         return cls(path, cents, id_col, vec_col)
 
     def search(self, queries: np.ndarray, k: int = 10, nprobe: int = 4,
-               concurrency=(1, 8)):
+               concurrency=None):
         """Top-k over the probed buckets only (partition-pruned read)."""
         import os
 
@@ -191,17 +188,13 @@ class IvfIndex:
                  "vec_id": pa.array([], pa.int64()),
                  "sim": pa.array([], pa.float64()),
                  "rank": pa.array([], pa.int64())}))
-        sub = read_parquet_nm(paths)
-        partial = sub.map_batches(
-            BatchTopK(q, k, self.id_col, self.vec_col),
-            batch_format="pyarrow", concurrency=_task_cap(concurrency))
-        return partial.groupby("query_idx").map_groups(
-            _final_topk_arrow(k), batch_format="pyarrow")
+        return _knn_topk(read_parquet_nm(paths), q, k, self.id_col,
+                         self.vec_col, concurrency)
 
 
 def knn_ivf(emb_ds, queries: np.ndarray, k: int = 10, n_centroids: int = 16,
             nprobe: int = 4, seed: int = 11, id_col: str = "vec_id",
-            vec_col: str = "embedding", concurrency=(1, 8)):
+            vec_col: str = "embedding", concurrency=None):
     """Approximate cosine top-k: search only the nprobe nearest centroid
     buckets per query. Same output schema as knn_brute."""
     q = _normalize(np.asarray(queries, dtype=np.float64))
@@ -216,8 +209,4 @@ def knn_ivf(emb_ds, queries: np.ndarray, k: int = 10, n_centroids: int = 16,
                                      value_set=pa.array(wanted)))
 
     sub = bucketed.map_batches(keep_probed, batch_format="pyarrow")
-    partial = sub.map_batches(
-        BatchTopK(q, k, id_col, vec_col),
-        batch_format="pyarrow", concurrency=_task_cap(concurrency))
-    return partial.groupby("query_idx").map_groups(
-        _final_topk_arrow(k), batch_format="pyarrow")
+    return _knn_topk(sub, q, k, id_col, vec_col, concurrency)

@@ -108,22 +108,36 @@ def fingerprint(batch: pa.Table, text_col: str = "text",
                      "fingerprint": pa.array(fps)})
 
 
+def _int_key(col) -> pa.Array:
+    """int64 exchange key of a column of any type: polars' vectorized
+    hash (partitioning only — any stable hash gives identical
+    results)."""
+    import polars as pl
+    return pa.array(pl.from_arrow(col).hash().to_numpy().view(np.int64))
+
+
+def _top_counts(t: pa.Table, k: int) -> pa.Table:
+    return t.sort_by([("n", "descending"), ("token", "ascending")]) \
+        .slice(0, k)
+
+
 def vocab_topk(docs_ds, k: int = 100, text_col: str = "text") -> pa.Table:
     """Vocabulary build: the k most frequent ``\\w+`` tokens across the
     corpus with deterministic ordering (count desc, token asc).
 
     The per-batch stage tokenizes with the vectorized RE2 kernel and
-    pre-counts locally (map-side combining), so the shuffle carries at
-    most one row per distinct token per batch; partials merge through a
-    COARSE-hash shuffle whose per-group kernel is Arrow's C++ hash
-    group-by (the native Dataset aggregate materializes one group per
-    distinct token — O(vocabulary) Python). The tokenizer (RE2
-    ``\\W+`` split) matches DuckDB's ``regexp_extract_all(text,
-    '\\w+')`` exactly (same regex engine).
+    pre-counts locally (map-side combining), so the exchange carries at
+    most one row per distinct token per block; each exchange group sums
+    its tokens with Arrow's C++ hash group-by (the native Dataset
+    aggregate materializes one group per distinct token — O(vocabulary)
+    Python) and keeps its own top k, and the driver picks the global
+    top k from those. The tokenizer (RE2 ``\\W+`` split) matches
+    DuckDB's ``regexp_extract_all(text, '\\w+')`` exactly (same regex
+    engine).
     """
-    import polars as pl
+    import ray
 
-    n_coarse = 64
+    from .._util import hash_exchange
 
     def partial(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(batch.column(text_col), r"\W+")
@@ -132,13 +146,9 @@ def vocab_topk(docs_ds, k: int = 100, text_col: str = "text") -> pa.Table:
             flat = flat.combine_chunks()
         flat = flat.filter(pc.not_equal(flat, ""))
         vc = flat.value_counts()
-        t = pa.table({"token": vc.field("values"),
-                      "n": pc.cast(vc.field("counts"), pa.int64())})
-        # coarse key via polars' vectorized string hash (partitioning
-        # only — any stable hash gives identical results)
-        gk = (pl.from_arrow(t.column("token")).hash()
-              % n_coarse).cast(pl.Int64).to_numpy()
-        return t.append_column("_g", pa.array(gk))
+        return pa.table({"token": vc.field("values"),
+                         "n": pc.cast(vc.field("counts"), pa.int64()),
+                         "_k": _int_key(vc.field("values"))})
 
     def merge(t: pa.Table) -> pa.Table:
         out = (pa.TableGroupBy(t.select(["token", "n"]), "token")
@@ -147,17 +157,11 @@ def vocab_topk(docs_ds, k: int = 100, text_col: str = "text") -> pa.Table:
         # output is a pyarrow implementation detail that has flipped
         # across releases (ADVICE.md) — a positional rename would
         # silently swap token/count meanings
-        return pa.table({"token": out.column("token"),
-                         "n": out.column("n_sum")})
+        return _top_counts(pa.table({"token": out.column("token"),
+                                     "n": out.column("n_sum")}), k)
 
-    counts = (docs_ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("_g").map_groups(merge, batch_format="pyarrow"))
-    top_rows = (counts.sort(["n", "token"], descending=[True, False])
-                .limit(k).take_all())
-    top = pa.table({"token": pa.array([r["token"] for r in top_rows],
-                                      type=pa.string()),
-                    "n": pa.array([r["n"] for r in top_rows],
-                                  type=pa.int64())})
+    counts = hash_exchange([(docs_ds, partial)], ["_k"], merge)
+    top = _top_counts(pa.concat_tables(ray.get(counts.to_arrow_refs())), k)
     return top.append_column(
         "rank", pa.array(np.arange(1, len(top) + 1, dtype=np.int64)))
 
@@ -168,11 +172,13 @@ def topk_per_group(ds, group_col: str, order_col: str, k: int,
     (``order_col`` desc/asc, ties -> ``id_col`` asc), emitted with a
     per-group ``rank`` column (1-based).
 
-    Two-stage: each batch first prunes LOCALLY to its own per-group
-    top-k (map-side combining — the shuffle carries at most
-    k × groups-per-batch rows), then a groupby finalizes the global
-    top-k per group. Scales with the number of groups, not rows.
+    Two-stage: each block first prunes LOCALLY to its own per-group
+    top-k (map-side combining — the exchange carries at most
+    k × groups-per-block rows), then each exchange group prunes again
+    and ranks. Scales with the number of groups, not rows.
     """
+    from .._util import hash_exchange
+
     def _order_key(v: np.ndarray) -> np.ndarray:
         """Exact order-reversing key for descending sorts: bitwise NOT
         for integers (monotone, no overflow at int64 extremes — the
@@ -183,7 +189,9 @@ def topk_per_group(ds, group_col: str, order_col: str, k: int,
             return v
         return np.invert(v) if v.dtype.kind in "iu" else -v
 
-    def local_prune(t: pa.Table) -> pa.Table:
+    def prune(t: pa.Table):
+        """t's top-k rows of each group, in (group, order, id) order,
+        and their 1-based ranks."""
         g = t.column(group_col).to_numpy()
         v = t.column(order_col).to_numpy()
         i = t.column(id_col).to_numpy()
@@ -192,17 +200,15 @@ def topk_per_group(ds, group_col: str, order_col: str, k: int,
         starts = np.r_[0, np.flatnonzero(gs[1:] != gs[:-1]) + 1]
         pos_in_group = np.arange(len(gs)) - np.repeat(
             starts, np.diff(np.r_[starts, len(gs)]))
-        keep = order[pos_in_group < k]
-        return t.take(pa.array(np.sort(keep)))
+        keep = pos_in_group < k
+        return t.take(pa.array(order[keep])), pos_in_group[keep] + 1
 
-    def final_topk(t: pa.Table) -> pa.Table:
-        v = t.column(order_col).to_numpy()
-        i = t.column(id_col).to_numpy()
-        order = np.lexsort((i, _order_key(v)))[:k]
-        out = t.take(pa.array(order))
-        return out.append_column(
-            "rank", pa.array(np.arange(1, len(out) + 1, dtype=np.int64)))
+    def pre(t: pa.Table) -> pa.Table:
+        top, _ = prune(t)
+        return top.append_column("_k", _int_key(top.column(group_col)))
 
-    return (ds.map_batches(local_prune, batch_format="pyarrow")
-            .groupby(group_col)
-            .map_groups(final_topk, batch_format="pyarrow"))
+    def merge(t: pa.Table) -> pa.Table:
+        top, rank = prune(t.drop_columns(["_k"]))
+        return top.append_column("rank", pa.array(rank, pa.int64()))
+
+    return hash_exchange([(ds, pre)], ["_k"], merge)

@@ -41,6 +41,7 @@ def test_pagerank_layout_independent(work_dir):
 def test_agg_by_int_keys_matches_plain_groupby(rows, reduce):
     """The coarse-hash reduceat combiner must equal a plain dict
     groupby for any integer data, any chunking, both reductions."""
+    from ray_linkgraph import _util
     from ray_linkgraph._util import agg_by_int_keys
     a = np.array([r[0] for r in rows], dtype=np.int64)
     b = np.array([r[1] for r in rows], dtype=np.int64)
@@ -59,8 +60,10 @@ def test_agg_by_int_keys_matches_plain_groupby(rows, reduce):
                                     (i + 1) * len(t) // nblocks
                                     - i * len(t) // nblocks)
                             for i in range(nblocks)])
-        out = agg_by_int_keys(ds, ["ka", "kb"], "v", "out",
-                              reduce=reduce, n_coarse=4).to_pandas()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_util, "n_groups", lambda: 4)
+            out = agg_by_int_keys(ds, ["ka", "kb"], "v", "out",
+                                  reduce=reduce).to_pandas()
         got = {(r["ka"], r["kb"]): r["out"] for _, r in out.iterrows()}
         assert got == exp
 
