@@ -209,20 +209,29 @@ def exchange(blocks: list, split, merge, G: int) -> list:
             for g in range(G)]
 
 
-def n_groups() -> int:
-    """The group count of every ``hash_exchange``: 4 x the cluster's
-    CPUs. Each merge is exact per key, so results never depend on it;
-    it only sets how many rows one merge task holds."""
-    return 4 * max(1, int(ray.cluster_resources().get("CPU", 8)))
+def n_groups(n_blocks: int) -> int:
+    """The group count of a ``hash_exchange`` over ``n_blocks``
+    non-empty input blocks: 4 x the cluster's CPUs, and no more than
+    ``n_blocks``, so the exchange ships at most ``n_blocks**2`` slices
+    and a merge holds at least a block's worth of rows, as Ray Data's
+    sort shuffle (one output block per input block) did. Each merge is
+    exact per key, so results never depend on it."""
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    return max(1, min(4 * cpus, n_blocks))
+
+
+@ray.remote
+def _num_rows(t) -> int:
+    return t.num_rows
 
 
 def hash_exchange(inputs: list, keys: list, merge):
     """``merge(table)`` once per hash group of the int64 ``keys``
-    columns, over ``n_groups()`` groups of ``exchange``: rows with equal
+    columns, over ``n_groups`` groups of ``exchange``: rows with equal
     keys meet in one call. ``inputs`` is a list of ``(Dataset, pre)``;
     ``pre`` (a pyarrow batch map, or None) runs on its Dataset first,
     and every ``pre`` output has the same schema. Returns the Dataset of
-    the merge outputs.
+    the non-empty merge outputs (one block if all are empty).
 
     Without input rows ``merge`` runs once on an empty table. Ray Data
     skips a map on empty blocks and leaves them without a schema, so
@@ -231,16 +240,11 @@ def hash_exchange(inputs: list, keys: list, merge):
     is."""
     import pyarrow as pa
     import ray.data
+    from ray.data.block import BlockAccessor
 
-    from ray.data.dataset import MaterializedDataset
-
-    # an input already in the object store runs ``pre`` in the split
-    # tasks; any other is mapped by Ray Data, so only ``pre``'s output
-    # is materialized
-    staged = [(ds, pre) if isinstance(ds, MaterializedDataset) else
-              (ds.map_batches(pre, batch_format="pyarrow") if pre else ds,
-               None) for ds, pre in inputs]
-    blocks = [(pre, r) for m, pre in staged for r in block_refs(m)]
+    staged = [(ds.map_batches(pre, batch_format="pyarrow") if pre else ds)
+              .materialize() for ds, pre in inputs]
+    blocks = [r for m in staged for r in block_refs(m)]
     if not blocks:
         empties = []
         for ds, pre in inputs:
@@ -249,22 +253,23 @@ def hash_exchange(inputs: list, keys: list, merge):
                 e = pa.schema(list(zip(sch.names, sch.types))).empty_table()
                 empties.append(pre(e) if pre else e)
         if not empties:
-            return staged[0][0]
+            return staged[0]
         return ray.data.from_arrow(merge(pa.concat_tables(empties)))
-    G = n_groups()
+    G = n_groups(len(blocks))
 
     def split(block):
-        pre, ref = block
-        t = ray.get(ref)
-        t = pre(t) if pre else t
+        # a block without ``pre`` may be a pandas frame
+        t = BlockAccessor.for_block(block).to_arrow()
         return t, hash_u64(*[t.column(k).to_numpy().astype(np.uint64)
                              for k in keys]) % np.uint64(G)
 
     def merge_slices(g: int, subs: list):
         return merge(pa.concat_tables(subs).combine_chunks())
 
-    out = ray.data.from_arrow_refs(exchange(blocks, split, merge_slices, G))
-    # few keys leave most groups empty: drop those blocks, or every
-    # downstream map runs a task per empty block
-    kept = block_refs(out)
-    return ray.data.from_arrow_refs(kept) if 0 < len(kept) < G else out
+    # a function argument is pickled once per task: put each one once
+    refs = exchange(blocks, ray.put(split), ray.put(merge_slices), G)
+    # few keys leave most groups empty: keep only groups with rows, or
+    # every downstream map runs a task per empty block
+    rows = ray.get([_num_rows.remote(r) for r in refs])
+    return ray.data.from_arrow_refs(
+        [r for r, n in zip(refs, rows) if n] or refs[:1])

@@ -11,10 +11,10 @@ Partitioning assumptions (documented per the north-star scale notes):
 
 * ``asof_join`` hash-partitions BOTH sides by the ``by`` key, so all
   rows of one key meet in one group task. Skew bound = rows per
-  exchange group (``_util.n_groups()``, 4x the cluster CPU count, so
-  group size shrinks as the cluster grows); the per-group work is one
-  vectorized merge-order forward-fill (pure numpy — results are
-  width-invariant).
+  exchange group (``_util.n_groups``: 4x the cluster CPU count, at most
+  one group per input block, so group size shrinks as the cluster
+  grows); the per-group work is one vectorized merge-order
+  forward-fill (pure numpy — results are width-invariant).
 * ``band_join_count`` range-partitions by time bucket of width
   ``band_us`` and replicates each right row to its 3 adjacent buckets
   (classic band-join replication), so a left row's whole ±band window

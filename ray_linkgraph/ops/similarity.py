@@ -28,16 +28,26 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     return v / np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-12)
 
 
+def _empty_knn():
+    import ray.data
+    return ray.data.from_arrow(pa.table(
+        {"query_idx": pa.array([], pa.int64()),
+         "vec_id": pa.array([], pa.int64()),
+         "sim": pa.array([], pa.float64()),
+         "rank": pa.array([], pa.int64())}))
+
+
 def _knn_topk(ds, q: np.ndarray, k: int, id_col: str, vec_col: str,
               concurrency):
     """Per-query top-k of ``ds``'s vectors against query matrix ``q``
     (sim desc, vec_id asc, 1-based rank): a local top-k per batch,
-    then one per-query reduce. ``concurrency`` defaults to no task cap,
-    so this map fuses with the reduce's map-side prune."""
+    then one per-query reduce."""
     partial = ds.map_batches(BatchTopK(q, k, id_col, vec_col),
                              batch_format="pyarrow",
                              concurrency=_task_cap(concurrency))
-    return topk_per_group(partial, "query_idx", "sim", k, "vec_id")
+    top = topk_per_group(partial, "query_idx", "sim", k, "vec_id")
+    # no vectors: the per-batch map never ran, so nothing has a schema
+    return top if top.schema() is not None else _empty_knn()
 
 
 class BatchTopK:
@@ -70,7 +80,7 @@ class BatchTopK:
 
 def knn_brute(emb_ds, queries: np.ndarray, k: int = 10,
               id_col: str = "vec_id", vec_col: str = "embedding",
-              concurrency=None):
+              concurrency=(1, 8)):
     """-> Dataset(query_idx, vec_id, sim, rank) exact cosine top-k."""
     return _knn_topk(emb_ds, np.asarray(queries, dtype=np.float64), k,
                      id_col, vec_col, concurrency)
@@ -168,11 +178,9 @@ class IvfIndex:
         return cls(path, cents, id_col, vec_col)
 
     def search(self, queries: np.ndarray, k: int = 10, nprobe: int = 4,
-               concurrency=None):
+               concurrency=(1, 8)):
         """Top-k over the probed buckets only (partition-pruned read)."""
         import os
-
-        import ray.data
 
         q = _normalize(np.asarray(queries, dtype=np.float64))
         probe = np.argsort(-(q @ self.centroids.T), axis=1,
@@ -183,18 +191,14 @@ class IvfIndex:
         paths = [f for b in wanted for f in sorted(glob.glob(
             os.path.join(self.path, "data", f"bucket={b}", "*.parquet")))]
         if not paths:
-            return ray.data.from_arrow(pa.table(
-                {"query_idx": pa.array([], pa.int64()),
-                 "vec_id": pa.array([], pa.int64()),
-                 "sim": pa.array([], pa.float64()),
-                 "rank": pa.array([], pa.int64())}))
+            return _empty_knn()
         return _knn_topk(read_parquet_nm(paths), q, k, self.id_col,
                          self.vec_col, concurrency)
 
 
 def knn_ivf(emb_ds, queries: np.ndarray, k: int = 10, n_centroids: int = 16,
             nprobe: int = 4, seed: int = 11, id_col: str = "vec_id",
-            vec_col: str = "embedding", concurrency=None):
+            vec_col: str = "embedding", concurrency=(1, 8)):
     """Approximate cosine top-k: search only the nprobe nearest centroid
     buckets per query. Same output schema as knn_brute."""
     q = _normalize(np.asarray(queries, dtype=np.float64))

@@ -61,7 +61,7 @@ def test_agg_by_int_keys_matches_plain_groupby(rows, reduce):
                                     - i * len(t) // nblocks)
                             for i in range(nblocks)])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_util, "n_groups", lambda: 4)
+            mp.setattr(_util, "n_groups", lambda _: 4)
             out = agg_by_int_keys(ds, ["ka", "kb"], "v", "out",
                                   reduce=reduce).to_pandas()
         got = {(r["ka"], r["kb"]): r["out"] for _, r in out.iterrows()}

@@ -119,7 +119,7 @@ def test_ngram_jaccard_adjacent(monkeypatch):
              for i in range(7)]
     t = pa.table({"doc_id": pa.array(range(7), type=pa.int64()),
                   "text": pa.array(texts)})
-    monkeypatch.setattr(_util, "n_groups", lambda: 3)
+    monkeypatch.setattr(_util, "n_groups", lambda _: 3)
     out = ngram_jaccard_adjacent(rd.from_arrow(t)) \
         .to_pandas().sort_values("a").reset_index(drop=True)
     assert out["a"].tolist() == list(range(6))          # 0..5 complete
@@ -568,7 +568,7 @@ def test_asof_join_semantics(monkeypatch):
     right = pa.table({"event_id": pa.array([7, 9, 8, 6], pa.int64()),
                       "ts": _ts([10, 10, 15, 6]),
                       "user_id": pa.array([1, 1, 1, 2], pa.int64())})
-    monkeypatch.setattr(_util, "n_groups", lambda: 4)
+    monkeypatch.setattr(_util, "n_groups", lambda _: 4)
     out = joins.asof_join(rd.from_arrow(left), rd.from_arrow(right),
                           by="user_id", on="ts", right_val="event_id",
                           out_col="prior_event_id"
@@ -576,7 +576,7 @@ def test_asof_join_semantics(monkeypatch):
     assert out["prior_event_id"].tolist() == [9, 8, -1, -1]
     assert out["event_id"].dtype == np.int64  # no float upcast leak
     # bucket count must not change results
-    monkeypatch.setattr(_util, "n_groups", lambda: 1)
+    monkeypatch.setattr(_util, "n_groups", lambda _: 1)
     out2 = joins.asof_join(rd.from_arrow(left), rd.from_arrow(right),
                            by="user_id", on="ts", right_val="event_id",
                            out_col="prior_event_id"
@@ -595,7 +595,7 @@ def test_asof_join_exact_beyond_2_53(monkeypatch):
     right = pa.table({"event_id": pa.array([big + 4], pa.int64()),
                       "ts": _ts([50]),
                       "user_id": pa.array([1], pa.int64())})
-    monkeypatch.setattr(_util, "n_groups", lambda: 2)
+    monkeypatch.setattr(_util, "n_groups", lambda _: 2)
     out = joins.asof_join(rd.from_arrow(left), rd.from_arrow(right),
                           by="user_id", on="ts", right_val="event_id",
                           out_col="prior_event_id"
@@ -690,7 +690,7 @@ def test_coarse_hash_kernels_extreme_skew(monkeypatch):
     t = pa.table({"k": pa.array(ka), "v": pa.array(v)})
     blocks = [t.slice(i * n // 8, n // 8) for i in range(8)]
     with monkeypatch.context() as mp:
-        mp.setattr(_util, "n_groups", lambda: 8)
+        mp.setattr(_util, "n_groups", lambda _: 8)
         out = agg_by_int_keys(rd.from_arrow(blocks), ["k"], "v", "s") \
             .to_pandas()
     assert int(out[out["k"] == 0]["s"].iloc[0]) == int((ka == 0).sum())
@@ -809,9 +809,9 @@ def _canon(ds) -> pd.DataFrame:
     "embedding_neardup_lsh"])
 def test_exchange_group_count_invariant(name, monkeypatch):
     """One exchange group and seven give the same output."""
-    monkeypatch.setattr(_util, "n_groups", lambda: 1)
+    monkeypatch.setattr(_util, "n_groups", lambda _: 1)
     one = _canon(EXCHANGE_OPS[name]())
-    monkeypatch.setattr(_util, "n_groups", lambda: 7)
+    monkeypatch.setattr(_util, "n_groups", lambda _: 7)
     seven = _canon(EXCHANGE_OPS[name]())
     assert len(one) > 0
     pd.testing.assert_frame_equal(one, seven)
@@ -829,10 +829,25 @@ def test_exchange_ops_without_ray_data_groupby(monkeypatch):
         assert len(_canon(run())) > 0, name
 
 
+def test_exchange_ops_on_pandas_blocks():
+    """Ops take Datasets whose blocks are pandas frames."""
+    ev = _tiny_events().to_pandas()
+    docs = pd.DataFrame({"doc_id": np.arange(len(_TINY_TEXTS)),
+                         "text": _TINY_TEXTS})
+    for got, want in [
+            (_util.agg_by_int_keys(rd.from_pandas(ev).materialize(),
+                                   ["user_id"], "event_id", "s"),
+             EXCHANGE_OPS["agg_by_int_keys"]()),
+            (events.window_agg(rd.from_pandas(ev)),
+             EXCHANGE_OPS["window_agg"]()),
+            (dedup.exact_dedup(rd.from_pandas(docs)),
+             dedup.exact_dedup(docs_ds(_TINY_TEXTS)))]:
+        pd.testing.assert_frame_equal(_canon(got), _canon(want))
+
+
 def test_exchange_ops_on_empty_input():
     """An empty input gives an empty result with the op's output
-    schema. knn's per-batch top-k is a Ray Data map, which skips empty
-    blocks, so its empty result has no schema to check."""
+    schema."""
     empty_docs = rd.from_arrow(pa.table({
         "doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())}))
     empty_ev = rd.from_arrow(_tiny_events().slice(0, 0))
@@ -866,7 +881,9 @@ def test_exchange_ops_on_empty_input():
         assert out.count() == 0
         assert out.schema().names == cols
     emb = rd.from_arrow(_tiny_emb().slice(0, 0))
-    assert similarity.knn_brute(emb, np.eye(6)[:2], k=3).count() == 0
+    out = similarity.knn_brute(emb, np.eye(6)[:2], k=3)
+    assert out.count() == 0
+    assert out.schema().names == ["query_idx", "vec_id", "sim", "rank"]
 
 
 def test_cc_distributed_tier_matches_single_task(monkeypatch):
@@ -878,7 +895,7 @@ def test_cc_distributed_tier_matches_single_task(monkeypatch):
     pairs = pa.table({"a": pa.array(a), "b": pa.array(b)})
     single = _canon(cc.connected_components(_ds(pairs)))
     monkeypatch.setattr(cc, "CC_SINGLE_TASK_MAX", 0)
-    monkeypatch.setattr(_util, "n_groups", lambda: 3)
+    monkeypatch.setattr(_util, "n_groups", lambda _: 3)
     iterated = _canon(cc.connected_components(_ds(pairs), num_partitions=2))
     pd.testing.assert_frame_equal(single, iterated)
     got = dict(zip(single["node"], single["label"]))
