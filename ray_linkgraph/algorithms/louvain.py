@@ -242,7 +242,7 @@ class LouvainProgram(VertexProgram):
     def rescatter(self, ctx, state, g, s):
         return self._send(ctx, state, g["sent"])
 
-    def master(self, s, aggs, msg_total, graph, g):
+    def master(self, s, aggs, msg_total, V, g):
         g = {**g, "sent": self._sends(g)}
         if s == 0:
             g["two_m"] = float(aggs["two_m"])

@@ -86,12 +86,11 @@ class PageRankProgram(VertexProgram):
     def rescatter(self, ctx, state, g, s):
         return self._scatter(ctx, state["rank"], ctx.degrees("out"))
 
-    def master(self, s, aggs, msg_total, graph, g):
-        n = graph.V
+    def master(self, s, aggs, msg_total, V, g):
         g_next = {
-            "N": n,
-            "danglingRank": aggs["dangling_cum"] / n,
-            "initialRank": self.alpha / n,
+            "N": V,
+            "danglingRank": aggs["dangling_cum"] / V,
+            "initialRank": self.alpha / V,
             "cumulativeRank": aggs["cum"],
         }
         # reference: stop when superstep > 1 and l1 <= threshold

@@ -90,7 +90,7 @@ class PprProgram(VertexProgram):
     def rescatter(self, ctx, state, g, s):
         return self._scatter(ctx, state["rank"], state["ran"].astype(bool))
 
-    def master(self, s, aggs, msg_total, graph, g):
+    def master(self, s, aggs, msg_total, V, g):
         cont = not (s > 1 and aggs.get("l1", 0.0) <= self.l1_threshold)
         return cont and msg_total > 0, {"cum": max(aggs["cum"], 1e-300)}
 

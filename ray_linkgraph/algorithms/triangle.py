@@ -114,7 +114,7 @@ class TriangleProgram(VertexProgram):
         state["tri"] += np.bincount(u[hit], minlength=ctx.size)
         return np.concatenate([apex[row[hit]], w[hit]]), {}, {}
 
-    def master(self, s, aggs, msg_total, graph, g):
+    def master(self, s, aggs, msg_total, V, g):
         return (s < 3, g)
 
     def output(self, ctx, state):

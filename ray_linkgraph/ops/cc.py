@@ -9,6 +9,8 @@ verification). The corpus itself is never touched here.
 
 Convergence detection is O(1) per round: labels only ever decrease, so
 ``sum(label)`` is strictly monotone and stalls exactly at the fixpoint.
+It is one sum task per block, added on the driver, so no round runs
+Ray Data's groupby (``Dataset.aggregate`` is a ``groupby(None)``).
 
 This is the distributed analog of the reference WCC min-propagation
 (/root/reference/computer-algorithm/.../community/wcc/Wcc.java:47-72)
@@ -20,11 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.aggregate import Sum
 
-from .._util import drop_empty_blocks
+from .._util import block_refs, drop_empty_blocks
 
 # Below this many pairs the component computation runs in ONE Ray task
 # (numpy min-label with pointer jumping) instead of the iterated
@@ -32,6 +34,11 @@ from .._util import drop_empty_blocks
 # regardless of data size, which dominated the sf0.1 dedup bench. The
 # iterative path remains the 100-TB route for genuinely huge pair sets.
 CC_SINGLE_TASK_MAX = 5_000_000
+
+
+@ray.remote
+def _label_sum(t: pa.Table) -> int:
+    return pc.sum(t.column("label")).as_py() or 0
 
 
 @ray.remote
@@ -111,7 +118,7 @@ def connected_components(pairs_ds, max_rounds: int = 50,
 
     prev_sum = None
     for _ in range(max_rounds):
-        s = labels.aggregate(Sum("label", alias_name="s"))["s"]
+        s = sum(ray.get([_label_sum.remote(r) for r in block_refs(labels)]))
         if prev_sum is not None and s == prev_sum:
             break
         prev_sum = s

@@ -337,3 +337,103 @@ def test_louvain_resume_inside_level_two(graph, work_dir):
         res = run(ck_cut, resume=True)
         assert res.supersteps == full.supersteps
         assert labels(res) == labels(full)
+
+
+# -- supersteps launched ahead: the driver keeps two steps in flight ------
+
+def _ckpt_dir_content(ck):
+    """Every file of a checkpoint dir by relative path: parquet bytes,
+    metrics rows and manifests without their wall times, file paths and
+    horizon."""
+    out = {}
+    for path in sorted(glob.glob(os.path.join(ck, "**", "*"),
+                                 recursive=True)):
+        rel = os.path.relpath(path, ck)
+        if os.path.isdir(path):
+            out[rel] = "dir"
+        elif rel == "metrics.jsonl":
+            out[rel] = [{k: v for k, v in json.loads(ln).items()
+                         if k != "wall_s"} for ln in open(path)]
+        elif rel.startswith("manifest_"):
+            m = json.load(open(path))
+            for k in ("wall_s", "max_supersteps"):
+                m.pop(k)
+            for info in m["parts"].values():
+                for k in ("write_s", "file"):
+                    info.pop(k)
+            out[rel] = m
+        else:
+            out[rel] = open(path, "rb").read()
+    return out
+
+
+@pytest.mark.parametrize("algo", ["pagerank", "wcc", "triangle"])
+def test_halt_inside_window_matches_horizon(graph, work_dir, algo):
+    """A run that halts at step s (PageRank's and the 1D triangle count's
+    master stops it; WCC sends nothing) while step s+1 is already queued
+    leaves the same output, superstep count, history length and
+    checkpoint dir as a run cut by ``max_supersteps=s+1``: the queued
+    step changes nothing."""
+    from ray_linkgraph.algorithms.triangle import TriangleProgram
+    from ray_linkgraph.engine import run_program
+
+    def run(ck, halting, steps):
+        if algo == "pagerank":
+            return pagerank(graph, l1_threshold=1e-4 if halting else 0.0,
+                            max_supersteps=steps, checkpoint_dir=ck)
+        if algo == "wcc":
+            return wcc(graph, max_supersteps=steps, checkpoint_dir=ck)
+        return run_program(graph, TriangleProgram(), max_supersteps=steps,
+                           checkpoint_dir=ck)
+
+    ck_a = os.path.join(work_dir, f"ck_halt_{algo}")
+    halted = run(ck_a, True, 40)
+    s = halted.supersteps - 1
+    assert 2 <= s < 39 and halted.history[-1]["step"] == s
+    ck_b = os.path.join(work_dir, f"ck_horizon_{algo}")
+    cut = run(ck_b, False, s + 1)
+    assert cut.supersteps == halted.supersteps
+    assert len(cut.history) == len(halted.history) == s + 1
+    a, b = halted.to_arrow().sort_by("v_id"), cut.to_arrow().sort_by("v_id")
+    assert a.equals(b)
+    assert not os.path.exists(os.path.join(ck_a, f"step_{s + 1:05d}"))
+    assert _ckpt_dir_content(ck_a) == _ckpt_dir_content(ck_b)
+
+
+@pytest.mark.parametrize("algo", ["pagerank", "sssp"])
+def test_failure_inside_window_then_resume(graph, work_dir, algo):
+    """A step that raises on one partition while the next step is queued
+    fails the run, drops the graph's pool and commits no manifest past
+    the step before it; resuming from what it left (files of the failed
+    and the queued steps included) is bit-exact, for a dense program
+    (PageRank) and a 1D one (SSSP)."""
+    from ray_linkgraph.algorithms import PageRankProgram
+    from ray_linkgraph.engine import run_program
+    crash_at = 3
+    base = {"pagerank": PageRankProgram, "sssp": SsspProgram}[algo]
+    args = {"pagerank": (0.85, 0.0), "sssp": ([0, 5],)}[algo]
+
+    class Crash(base):
+        def compute(self, ctx, state, inbox, g, s):
+            if s == crash_at and ctx.part_id == 1:
+                raise RuntimeError("crash inside the window")
+            return super().compute(ctx, state, inbox, g, s)
+
+    def col(res):
+        t = res.to_arrow().sort_by("v_id")
+        return t.column(t.column_names[1]).to_numpy()
+
+    full = run_program(graph, base(*args), max_supersteps=10)
+    ck = os.path.join(work_dir, f"ck_window_crash_{algo}")
+    with pytest.raises(Exception, match="crash inside the window"):
+        run_program(graph, Crash(*args), max_supersteps=10,
+                    checkpoint_dir=ck)
+    assert graph not in engine._POOLS
+    steps = sorted(int(os.path.basename(f)[9:14]) for f in
+                   glob.glob(os.path.join(ck, "manifest_*.json")))
+    assert steps and max(steps) <= crash_at - 1
+    resumed = run_program(graph, base(*args), max_supersteps=10,
+                          checkpoint_dir=ck, resume=True)
+    assert resumed.history[0]["step"] == max(steps) + 1
+    assert resumed.supersteps == full.supersteps
+    assert col(resumed).tobytes() == col(full).tobytes()

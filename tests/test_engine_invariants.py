@@ -131,7 +131,7 @@ def test_pagerank_pull_synthetic_graph(work_dir):
     assert np.allclose(_ranks(res), exp, atol=1e-12, rtol=0)
 
 
-@pytest.mark.parametrize("n_parts", [4, 5])
+@pytest.mark.parametrize("n_parts", [1, 3, 4, 5])
 def test_pagerank_pull_relay_bit_identical(work_dir, monkeypatch, n_parts):
     """The pod relay is 1D-only: with it forced at small P a dense
     program still pulls its P value chunks directly, and its ranks are

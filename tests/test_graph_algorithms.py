@@ -240,7 +240,8 @@ def exchange_graph(work_dir):
 
 
 EXCHANGES = pytest.mark.parametrize(
-    "n_parts,relay", [(1, False), (3, False), (4, False), (4, True)])
+    "n_parts,relay", [(1, False), (3, False), (3, True), (4, False),
+                      (4, True)])
 
 
 @EXCHANGES

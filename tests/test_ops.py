@@ -821,12 +821,22 @@ def test_exchange_group_count_invariant(name, monkeypatch):
 
 
 def test_exchange_ops_without_ray_data_groupby(monkeypatch):
-    """Every keyed Dataset op runs with Ray Data's groupby disabled."""
+    """Every keyed Dataset op runs with Ray Data's groupby disabled, and
+    so does connected_components' iterated tier, whose labels equal the
+    single-task tier's."""
+    from ray_linkgraph.ops import cc
+    pairs = pa.table({"a": pa.array([1, 2, 10, 7], pa.int64()),
+                      "b": pa.array([2, 3, 11, 10], pa.int64())})
+    single = _canon(cc.connected_components(_ds(pairs)))
+
     def no_groupby(*a, **k):
         raise AssertionError("Dataset.groupby called")
     monkeypatch.setattr(rd.Dataset, "groupby", no_groupby)
     for name, run in EXCHANGE_OPS.items():
         assert len(_canon(run())) > 0, name
+    monkeypatch.setattr(cc, "CC_SINGLE_TASK_MAX", 0)
+    pd.testing.assert_frame_equal(
+        _canon(cc.connected_components(_ds(pairs), num_partitions=2)), single)
 
 
 def test_exchange_ops_on_pandas_blocks():

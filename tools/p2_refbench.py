@@ -65,7 +65,7 @@ class PingProgram(VertexProgram):
         d, m, _ = self._send(ctx)
         return d, m
 
-    def master(self, s, aggs, msg_total, graph, g):
+    def master(self, s, aggs, msg_total, V, g):
         return (s + 1 < self.max_steps, g)
 
     def output(self, ctx, state):
