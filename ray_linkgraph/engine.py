@@ -72,6 +72,7 @@ the driver, into the call that takes it.
 from __future__ import annotations
 
 import collections
+import ctypes
 import json
 import os
 import time
@@ -673,8 +674,25 @@ def _n_sends(dense: bool, relay, P: int) -> int:
 # partition actor
 # ---------------------------------------------------------------------------
 
+def _keep_freed_heap():
+    """Keep the actor's freed memory for its next step (glibc only; a
+    no-op elsewhere). By default glibc serves a large block by a fresh
+    mmap, or trims the freed top of its heap back to the OS, so a step's
+    per-edge temporaries page-fault afresh every step: LPA's vote on 68k
+    votes took 640 minor faults and 1.9 ms a call, and none and 1.2 ms
+    with blocks below 32 MB kept in the heap and up to 64 MB of free heap
+    kept (4-CPU VM)."""
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+    except OSError:
+        return
+    libc.mallopt(-3, 32 << 20)      # M_MMAP_THRESHOLD
+    libc.mallopt(-1, 64 << 20)      # M_TRIM_THRESHOLD
+
+
 class PartitionWorker:
     def __init__(self, graph_dir: str, meta: dict, part_id: int):
+        _keep_freed_heap()
         self.ctx = PartCtx(graph_dir, meta, part_id)
         self.P = meta["P"]
         self._local_dtype = np.int32 if meta["part_size"] < 2**31 else np.int64
