@@ -25,7 +25,7 @@ MasterService.java:240-288) with Ray-native machinery:
   its own copy of the master step; a step queued past the halt changes
   nothing;
 * the exchange is the one thing that varies, chosen once per engine
-  from P and ``program.dense``:
+  from ``program.dense``:
   - dense pull (``EdgeScatter`` programs, every P): a program that
     sends the same value along every edge of a vertex (PageRank's sum,
     WCC's min, LPA's label vote) publishes one value per owned vertex
@@ -46,9 +46,6 @@ MasterService.java:240-288) with Ray-native machinery:
     (``Inbox``). Pre-combining per source partition is the skew
     treatment for hub dst vertices: a vertex with 10^6 in-edges
     receives at most P pre-combined values, not 10^6 messages;
-  - pod relay (1D only, P >= ``RELAY_MIN_P``): one relay task per pod
-    of ~sqrt(P) partitions regroups the 1D payloads per destination, so
-    a step makes O(P^1.5) object refs instead of O(P^2);
 * global aggregators are small dicts returned from each actor and
   reduced on every actor and on the driver, in the same order (the
   analog of worker->master aggregator RPC, computer-core/.../aggregator/
@@ -76,7 +73,6 @@ import ctypes
 import json
 import os
 import time
-import warnings
 import weakref
 
 import numpy as np
@@ -92,8 +88,6 @@ I64MAX = np.iinfo(np.int64).max
 # the dense pull's combiners, each with the value a vertex that sends
 # nothing this step publishes (None: the combiner takes every vertex)
 PULL_SENTINEL = {"sum": None, "min": I64MAX, "label_count": -1}
-# 1D exchanges at P >= RELAY_MIN_P go through the two-level pod relay
-RELAY_MIN_P = 64
 
 
 # ---------------------------------------------------------------------------
@@ -648,26 +642,10 @@ class EdgeScatter:
         self.senders = senders
 
 
-@ray.remote
-def _relay_pod(k: int, *blocks):
-    """Second hop of the two-level 1D exchange: regroup the P source
-    pod-blocks (each ``(ctl, block)``: the sender's step summary and a
-    tuple of k per-destination combined payloads, or None when the
-    source sent nothing to this pod) into k per-destination inbox
-    bundles, each with every sender's ``(ctl, payload)`` in sender
-    order. Payloads pass through untouched — the receiver's Inbox does
-    the cross-source combine exactly as in the direct exchange, so
-    results are bit-identical at any pod size."""
-    outs = [("RELAY", [(c, None if b is None else b[i]) for c, b in blocks])
-            for i in range(k)]
-    return tuple(outs) if k > 1 else outs[0]
-
-
-def _n_sends(dense: bool, relay, P: int) -> int:
+def _n_sends(dense: bool, P: int) -> int:
     """The objects an actor's step sends, besides its meta: the dense
-    pull's one chunk, one block per pod of the relay, else one payload
-    per destination partition."""
-    return 1 if dense else len(relay) if relay else P
+    pull's one chunk, else one payload per destination partition."""
+    return 1 if dense else P
 
 
 # ---------------------------------------------------------------------------
@@ -702,20 +680,18 @@ class PartitionWorker:
         self._own = None           # the dense pull's own published chunk
         self._bufs = {}            # the pull's gather buffers, per dtype
 
-    def set_program(self, program, relay=None):
-        """Arm the actor for one engine's run and its exchange: ``relay``
-        = the pods of the pod relay, None for the direct exchange. Every
-        engine on the graph arms the graph's pool through here; the
-        PartCtx CSR/pull-block caches persist per edge MODE, so only the
-        first program per mode pays the adjacency build (a dense
-        program's pull block: ``arm_pull``, which the driver queues when
-        its pool record lacks the mode)."""
+    def set_program(self, program):
+        """Arm the actor for one engine's run. Every engine on the graph
+        arms the graph's pool through here; the PartCtx CSR/pull-block
+        caches persist per edge MODE, so only the first program per mode
+        pays the adjacency build (a dense program's pull block:
+        ``arm_pull``, which the driver queues when its pool record lacks
+        the mode)."""
         self._join_ck()            # never carry an in-flight write over
         self.program = program
         self.program.combiner      # touch to fail early on bad programs
-        self.relay = relay
         self.dense = getattr(program, "dense", False)
-        self._n_out = _n_sends(self.dense, relay, self.P)
+        self._n_out = _n_sends(self.dense, self.P)
         self.state = self._own = None
         self._g = self._ctl = None   # the step's globals, its (aggs, msgs)
         self._halted = False
@@ -804,24 +780,12 @@ class PartitionWorker:
         return int(deg[senders].sum())
 
     # -- superstep ----------------------------------------------------------
-    @staticmethod
-    def _unwrap_inbox(inbox_parts) -> list:
-        """The senders' ``(ctl, payload)`` pairs, in sender order. Relay-
-        mode inboxes arrive as ONE ``("RELAY", [pairs...])`` bundle per
-        actor; direct mode as one pair per sender (dense: the P-1 other
-        partitions), whose ``ctl`` is a tuple or None, never a str."""
-        parts = list(inbox_parts)
-        if len(parts) == 1 and type(parts[0][0]) is str:
-            return parts[0][1]
-        return parts
-
     def _send(self, dst, payload):
         """Hand a step's sends to the exchange. Dense: publish the per-
         vertex values, one object that the other actors pull from (None
         at P=1: the actor reads its own from memory); the sent messages
-        are the senders' edges. 1D: P per-destination payloads, grouped
-        into one block per pod under the relay (None when the whole pod
-        got nothing — the relay skips it)."""
+        are the senders' edges. 1D: P per-destination payloads (None
+        for a partition that gets nothing)."""
         # name-based check: with cloudpickle by-value registration
         # (__ray_entry__) the actor's EdgeScatter class object can be a
         # distinct copy from the program module's, so isinstance fails
@@ -834,36 +798,31 @@ class PartitionWorker:
             return [self._own if self.P > 1 else None], n_out
         if dst.__class__.__name__ == "EdgeScatter":
             raise TypeError("only dense programs scatter via EdgeScatter")
-        outs, n_out = self._route(dst, payload)
-        if self.relay is not None:
-            outs = [None if all(outs[q] is None for q in pod)
-                    else tuple(outs[q] for q in pod) for pod in self.relay]
-        return outs, n_out
+        return self._route(dst, payload)
 
-    def superstep(self, s: int, g, ckpt_dir, steps_remaining,
-                  *inbox_parts):
-        """Run superstep s. ``g``: its globals, given for a run's first
-        step; None for every later one, which runs the master step here:
-        every sent object carries its sender's ``ctl`` = (aggs, msgs
-        out), so each actor reduces the P aggregates of step s-1 in
-        partition order, as the driver does, and gets the same globals
-        and halt decision without waiting for the driver. A step after
-        the halt, or after a step of this actor that raised, changes no
-        state and writes no checkpoint."""
+    def superstep(self, s: int, g, ckpt_dir, steps_remaining, *pairs):
+        """Run superstep s on ``pairs``, the senders' ``(ctl, payload)``
+        in sender order (dense: the P-1 other partitions'). ``g``: the
+        step's globals, given for a run's first step; None for every
+        later one, which runs the master step here: every sent object
+        carries its sender's ``ctl`` = (aggs, msgs out), so each actor
+        reduces the P aggregates of step s-1 in partition order, as the
+        driver does, and gets the same globals and halt decision without
+        waiting for the driver. A step after the halt, or after a step
+        of this actor that raised, changes no state and writes no
+        checkpoint."""
         if g is not None:            # a run's first step
             self._halted = False
         elif self._halted:
             return (None,) * (self._n_out + 1)
         try:
-            return self._superstep(s, g, ckpt_dir, steps_remaining,
-                                   inbox_parts)
+            return self._superstep(s, g, ckpt_dir, steps_remaining, pairs)
         except BaseException:
             self._halted = True
             raise
 
-    def _superstep(self, s, g, ckpt_dir, steps_remaining, inbox_parts):
+    def _superstep(self, s, g, ckpt_dir, steps_remaining, pairs):
         t0 = time.monotonic()
-        pairs = self._unwrap_inbox(inbox_parts)
         if g is None:
             ctls = [c for c, _ in pairs]
             if self.dense:
@@ -1071,26 +1030,14 @@ class BSPEngine:
         self.ckpt_every = max(0, checkpoint_every)
         if program.combiner == "label_count":
             check_label_key(graph.meta)
-        P = graph.P
         # the exchange, fixed for the engine's life: the dense pull for
-        # EdgeScatter programs (always direct: P objects per step), else
-        # the 1D exchange, direct or through the pod relay at large P
+        # EdgeScatter programs (P objects per step), else the direct 1D
+        # exchange (P^2 objects per step)
         self.dense = getattr(program, "dense", False)
         if self.dense and program.combiner not in PULL_SENTINEL:
             raise ValueError(f"dense programs must use one of the "
                              f"{sorted(PULL_SENTINEL)} combiners")
-        self.relay = None
-        if P >= RELAY_MIN_P and not self.dense:
-            # the direct 1D exchange creates O(P^2) actor-returned objects
-            # per superstep (measured 1.8 s/step of pure driver plumbing
-            # at P=128, tools/p2_refbench.py). The relay groups partitions
-            # into ~sqrt(P) pods, and one relay task per pod regroups the
-            # pod's blocks per destination: O(P^1.5) refs, bit-identical
-            # results (the receiver still does the combine).
-            K = max(2, int(round(P ** 0.5)))
-            self.relay = [list(range(j, min(j + K, P)))
-                          for j in range(0, P, K)]
-        self._n_out = _n_sends(self.dense, self.relay, P)
+        self._n_out = _n_sends(self.dense, graph.P)
         pool = _POOLS.get(graph)
         if pool is None or pool["session"] != _ray_session():
             pool = _start_pool(graph)
@@ -1107,7 +1054,7 @@ class BSPEngine:
         # must not run on actors re-armed (even partly) for this one
         pool["armed_by"] = weakref.ref(self)
         self._pool, self.actors = pool, pool["actors"]
-        self._arming = [a.set_program.remote(self.program, self.relay)
+        self._arming = [a.set_program.remote(self.program)
                         for a in self.actors]
         self._cold = self.dense and self.program.mode not in pool["pulls"]
         if self._cold:
@@ -1207,13 +1154,13 @@ class BSPEngine:
         sends unobservable within the ORIGINAL max_supersteps, and
         rescatter can only replay the pruned sends — resuming under a
         different horizon silently diverges from a fresh run (ADVICE.md).
-        Manifests record max_supersteps; mismatch is refused."""
+        Manifests record max_supersteps; a manifest without it, or with
+        another, is refused."""
         rec = man.get("max_supersteps")
-        if rec is None:       # pre-horizon manifest: can't verify
-            warnings.warn("checkpoint manifest predates horizon "
-                          "recording; resume assumes the original "
-                          "max_supersteps matched", stacklevel=4)
-            return
+        if rec is None:
+            raise ValueError("checkpoint manifest does not record its "
+                             "max_supersteps; cannot check the resume "
+                             "horizon")
         if rec != max_supersteps:
             raise ValueError(
                 f"cannot resume a max_supersteps={rec} checkpoint with "
@@ -1221,27 +1168,6 @@ class BSPEngine:
                 f"were pruned for the original horizon and cannot be "
                 f"replayed (rerun with max_supersteps={rec} or start "
                 f"fresh)")
-
-    def _exchange(self, out_refs):
-        """Launch the exchange for one round of actor sends (``out_refs[p]``
-        = actor p's send refs) and return each partition's inbox refs.
-        Dense: every partition gets the other P-1 value chunks."""
-        P = self.graph.P
-        if self.dense:
-            chunks = [o[0] for o in out_refs]
-            return [chunks[:q] + chunks[q + 1:] for q in range(P)]
-        if self.relay is None:
-            return [[out_refs[p][q] for p in range(P)] for q in range(P)]
-        inboxes = [None] * P
-        for j, pod in enumerate(self.relay):
-            k = len(pod)
-            r = _relay_pod.options(num_returns=k).remote(
-                k, *[out_refs[p][j] for p in range(P)])
-            if k == 1:
-                r = [r]
-            for i, q in enumerate(pod):
-                inboxes[q] = [r[i]]
-        return inboxes
 
     def run(self, max_supersteps: int = 10, resume: bool = False) -> BSPResult:
         if (_POOLS.get(self.graph) is not self._pool
@@ -1280,9 +1206,14 @@ class BSPEngine:
         the step's globals, or None to have the actors run the master
         step. Returns (its send refs, its meta refs, its checkpoint dir
         or None)."""
-        n = self._n_out
-        inboxes = (self._exchange(prev) if prev is not None
-                   else [()] * self.graph.P)
+        n, P = self._n_out, self.graph.P
+        if prev is None:
+            inboxes = [()] * P
+        elif self.dense:     # every partition gets the other P-1 chunks
+            chunks = [o[0] for o in prev]
+            inboxes = [chunks[:q] + chunks[q + 1:] for q in range(P)]
+        else:                # one payload per (sender, destination) pair
+            inboxes = [[o[q] for o in prev] for q in range(P)]
         ckpt = (self.ckpt_dir if self.ckpt_every and
                 s % self.ckpt_every == 0 else None)
         outs = [step.remote(s, g, ckpt, max_supersteps - 1 - s, *inbox)

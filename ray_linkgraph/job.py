@@ -75,7 +75,7 @@ def main(argv=None) -> int:
         2, int(ray.cluster_resources().get("CPU", 8)))
     g = build_graph(extract_links(pages),
                     os.path.join(args.workdir, "graph"), n_parts=n_parts,
-                    extra_url_ds=pages.select_columns(["url"]),
+                    extra_url_ds=read_parquet_nm(pages_dir, columns=["url"]),
                     limit_edges_per_vertex=args.limit_edges_per_vertex,
                     properties_merge=args.properties_merge)
     t_build = time.monotonic() - t0

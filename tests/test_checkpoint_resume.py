@@ -17,7 +17,7 @@ from ray_linkgraph import engine
 from ray_linkgraph.pages import pages_table
 from ray_linkgraph.extract import extract_links
 from ray_linkgraph.graph import build_graph
-from ray_linkgraph.algorithms import SsspProgram, lpa, pagerank, sssp, wcc
+from ray_linkgraph.algorithms import SsspProgram, lpa, pagerank, wcc
 
 N = 200
 
@@ -200,28 +200,20 @@ def test_resume_refuses_horizon_mismatch(graph, work_dir):
                     resume=True)
 
 
-def test_relay_exchange_matches_direct_and_resumes(graph, work_dir,
-                                                   monkeypatch):
-    """Two-level pod relay (the O(P^1.5)-refs 1D exchange, r5) is
-    bit-identical to the direct exchange on a frontier program (SSSP's
-    1D min; WCC and LPA take the dense pull), and a crash-cut resume
-    flows through the relayed rescatter path."""
-    def dist(res):
-        return res.to_arrow().to_pandas() \
-            .sort_values("v_id")["distance"].to_numpy()
-
-    direct = dist(sssp(graph, [0, 5]))
-    assert (direct > 1).any()
-    monkeypatch.setattr(engine, "RELAY_MIN_P", 2)   # force relay at P=4
-    assert engine.BSPEngine(graph, SsspProgram([0, 5])).relay is not None
-    assert direct.tobytes() == dist(sssp(graph, [0, 5])).tobytes()
-
-    ck = os.path.join(work_dir, "ck_sssp_relay")
-    sssp(graph, [0, 5], checkpoint_dir=ck)
-    _truncate(ck, 1)
-    resumed = sssp(graph, [0, 5], checkpoint_dir=ck, resume=True)
-    assert resumed.history[0]["step"] == 2
-    assert direct.tobytes() == dist(resumed).tobytes()
+def test_resume_refuses_manifest_without_horizon(graph, work_dir):
+    """A manifest that does not record max_supersteps cannot show that
+    the resume keeps the run's horizon, so resume refuses it."""
+    ck = os.path.join(work_dir, "ck_pr_no_horizon")
+    pagerank(graph, max_supersteps=10, checkpoint_dir=ck)
+    _truncate(ck, 3)
+    path = os.path.join(ck, "manifest_00003.json")
+    with open(path) as f:
+        man = json.load(f)
+    del man["max_supersteps"]
+    with open(path, "w") as f:
+        json.dump(man, f)
+    with pytest.raises(ValueError, match="does not record its max_supers"):
+        pagerank(graph, max_supersteps=10, checkpoint_dir=ck, resume=True)
 
 
 def test_resume_refuses_corrupted_checkpoint(graph, work_dir):

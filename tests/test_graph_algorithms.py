@@ -239,20 +239,14 @@ def exchange_graph(work_dir):
     return get
 
 
-EXCHANGES = pytest.mark.parametrize(
-    "n_parts,relay", [(1, False), (3, False), (3, True), (4, False),
-                      (4, True)])
+EXCHANGES = pytest.mark.parametrize("n_parts", [1, 3, 4])
 
 
 @EXCHANGES
-def test_triangle_exchange_matrix(exchange_graph, monkeypatch, n_parts,
-                                  relay):
-    """Triangle counts are exact at every partitioning and over both 1D
-    exchanges (direct and pod relay)."""
-    from ray_linkgraph import engine
+def test_triangle_exchange_matrix(exchange_graph, n_parts):
+    """Triangle counts over the 1D exchange are exact at every
+    partitioning."""
     g = exchange_graph(n_parts)
-    if relay:
-        monkeypatch.setattr(engine, "RELAY_MIN_P", 2)
     tri, _, _ = _naive_tri_coef(g)
     res = triangle_count(g).to_pandas().sort_values("v_id")
     assert len(res) == g.V and tri.sum() >= 30
@@ -260,15 +254,10 @@ def test_triangle_exchange_matrix(exchange_graph, monkeypatch, n_parts,
 
 
 @EXCHANGES
-def test_1d_combiner_exchange_matrix(exchange_graph, monkeypatch, n_parts,
-                                     relay):
+def test_1d_combiner_exchange_matrix(exchange_graph, n_parts):
     """LPA's label vote and WCC's min (dense pull) and SSSP's min (1D)
-    are exact at every partitioning, with and without the pod relay,
-    which only the 1D exchange takes."""
-    from ray_linkgraph import engine
+    are exact at every partitioning."""
     g = exchange_graph(n_parts)
-    if relay:
-        monkeypatch.setattr(engine, "RELAY_MIN_P", 2)
     E = load_edges(g, "out")
     und = adj_both(g.V, E)
     for steps in (3, 10):
